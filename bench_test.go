@@ -10,6 +10,7 @@ package tdtcp
 // cmd/tdsim for full-scale reproductions.
 
 import (
+	"fmt"
 	"io"
 	"testing"
 
@@ -235,6 +236,15 @@ func BenchmarkSimulatedWeekSequential(b *testing.B) { bench.SimulatedWeekSequent
 // sequential twin; this benchmark measures what the workers buy in wall
 // time (tdbench -gate holds the ratio >= 1.5x on machines with >= 4 cores).
 func BenchmarkSimulatedWeekSharded(b *testing.B) { bench.SimulatedWeekSharded(b) }
+
+// BenchmarkRotorScaling is the rack-scaling ladder: the same rotor TDTCP
+// experiment at 8, 32 and 64 racks on one engine worker. The body lives in
+// internal/bench so cmd/tdbench tracks the same rungs.
+func BenchmarkRotorScaling(b *testing.B) {
+	for _, racks := range bench.RotorScalingRacks {
+		b.Run(fmt.Sprint(racks), func(b *testing.B) { bench.RotorScaling(b, racks) })
+	}
+}
 
 // BenchmarkSimulatedWeekTraced is BenchmarkSimulatedWeek with a full-mask
 // JSONL tracer attached (writing to io.Discard), measuring the enabled-path

@@ -67,16 +67,32 @@ type File struct {
 	CPUs int `json:"cpus,omitempty"`
 }
 
-var headline = []struct {
+// benchBody is one tracked benchmark: its record name and body.
+type benchBody struct {
 	Name string
 	Body func(*testing.B)
-}{
+}
+
+var headline = append([]benchBody{
 	{"EventLoop", bench.EventLoop},
 	{"SimulatedWeek", bench.SimulatedWeek},
 	{"SimulatedWeekSteady", bench.SimulatedWeekSteady},
 	{"SimulatedWeekFlight", bench.SimulatedWeekFlight},
 	{"SimulatedWeekSequential", bench.SimulatedWeekSequential},
 	{"SimulatedWeekSharded", bench.SimulatedWeekSharded},
+}, rotorScalingRungs()...)
+
+// rotorScalingRungs names one record per rung of the rack-scaling ladder,
+// "RotorScaling/<racks>".
+func rotorScalingRungs() []benchBody {
+	var rungs []benchBody
+	for _, racks := range bench.RotorScalingRacks {
+		rungs = append(rungs, benchBody{
+			Name: fmt.Sprintf("RotorScaling/%d", racks),
+			Body: func(b *testing.B) { bench.RotorScaling(b, racks) },
+		})
+	}
+	return rungs
 }
 
 func main() {
@@ -280,6 +296,10 @@ func printDiff(prev, cur map[string]Record) {
 		fmt.Printf("%-19s %13s%% %9s %13s%% %11s%%\n", "  delta",
 			pct(c.NsPerOp, p.NsPerOp), "", pct(float64(c.BytesPerOp), float64(p.BytesPerOp)),
 			pct(float64(c.AllocsPerOp), float64(p.AllocsPerOp)))
+	}
+	lo, hi := cur["RotorScaling/8"], cur["RotorScaling/64"]
+	if lo.EventsPerSec > 0 && hi.EventsPerSec > 0 {
+		fmt.Printf("%-19s %13.2fx\n", "RotorScaling ev/s 8÷64", lo.EventsPerSec/hi.EventsPerSec)
 	}
 }
 

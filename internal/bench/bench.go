@@ -137,6 +137,32 @@ func SimulatedWeekSequential(b *testing.B) { simulatedWeekEngine(b, 1) }
 // floor.
 func SimulatedWeekSharded(b *testing.B) { simulatedWeekEngine(b, 4) }
 
+// RotorScalingRacks are the rungs of the rack-scaling ladder.
+var RotorScalingRacks = []int{8, 32, 64}
+
+// RotorScaling runs one rung of the rack-scaling ladder: a TDTCP experiment
+// on a racks-rack rotor fabric through experiments.Run at one engine worker,
+// 4 flows per rack, one warmup and one measurement week, seed 1. Comparing
+// events/sec across rungs shows how per-event cost grows with the number of
+// racks.
+func RotorScaling(b *testing.B, racks int) {
+	b.ReportAllocs()
+	var fired uint64
+	for i := 0; i < b.N; i++ {
+		m := trace.NewRegistry()
+		_, err := experiments.Run(experiments.RunConfig{
+			Variant: experiments.TDTCP, Scenario: experiments.MultiRack(racks),
+			Flows: 4 * racks, WarmupWeeks: 1, MeasureWeeks: 1, Seed: 1,
+			Shards: 1, Metrics: m,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		fired += uint64(m.Counter("sim.events_fired"))
+	}
+	b.ReportMetric(float64(fired)/float64(b.N), "events/op")
+}
+
 // SimulatedWeekFlight is SimulatedWeek with the always-on flight recorder
 // attached, the default experiments.Run configuration: every instrumented
 // site records into the fixed ring through a flight-only tracer (no JSONL

@@ -100,7 +100,8 @@ type RunConfig struct {
 	Shards int
 	// Notify is the TDN-change notification profile (default optimized).
 	Notify *rdcn.NotifyProfile
-	// SampleEvery is the series sampling cadence (default 5 µs).
+	// SampleEvery is the series sampling cadence (default 5 µs; negative
+	// is an error).
 	SampleEvery sim.Dur
 	// MarkThresh is the ECN marking threshold; defaults to 5 packets when
 	// the variant is DCTCP, otherwise 0.
@@ -322,6 +323,9 @@ func wireFlowHists(m *trace.Registry, f *Flow, ntdns int) {
 // Run executes one experiment and returns its measurements.
 func Run(cfg RunConfig) (*Result, error) {
 	cfg.fillDefaults()
+	if cfg.SampleEvery < 0 {
+		return nil, fmt.Errorf("experiments: SampleEvery %v must be positive", cfg.SampleEvery)
+	}
 	flight := cfg.Flight
 	if flight == nil && !cfg.DisableFlight {
 		flight = trace.NewFlight(trace.DefaultFlightLen, trace.DefaultFlightCats)

@@ -179,6 +179,19 @@ func TestBuildFlowValidation(t *testing.T) {
 	}
 }
 
+// A negative sampling cadence would never advance the samplers; both
+// runners must refuse it up front instead of hanging.
+func TestRejectNegativeSampleEvery(t *testing.T) {
+	if _, err := Run(RunConfig{Variant: TDTCP, Flows: 2, WarmupWeeks: 1, MeasureWeeks: 1,
+		SampleEvery: -sim.Microsecond}); err == nil {
+		t.Error("Run accepted a negative SampleEvery")
+	}
+	if _, err := RunWorkload(WorkloadConfig{Variant: TDTCP, WarmupWeeks: 1, MeasureWeeks: 1,
+		SampleEvery: -sim.Microsecond}); err == nil {
+		t.Error("RunWorkload accepted a negative SampleEvery")
+	}
+}
+
 func TestDeterministicRuns(t *testing.T) {
 	r1, err := Run(RunConfig{Variant: TDTCP, WarmupWeeks: 1, MeasureWeeks: 2, Seed: 7})
 	if err != nil {

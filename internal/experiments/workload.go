@@ -164,7 +164,8 @@ type WorkloadConfig struct {
 	// MaxFlows caps total arrivals so a mis-set load cannot spawn unbounded
 	// state (default 512).
 	MaxFlows int
-	// SampleEvery is the VOQ-occupancy sampling cadence (default 5 µs).
+	// SampleEvery is the VOQ-occupancy sampling cadence (default 5 µs;
+	// negative is an error).
 	SampleEvery sim.Dur
 	// MarkThresh is the ECN marking threshold; defaults to 5 packets when
 	// the variant is DCTCP, otherwise 0.
@@ -268,6 +269,9 @@ type WorkloadResult struct {
 // deterministic. Frame conservation is checked at the horizon.
 func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 	cfg.fillDefaults()
+	if cfg.SampleEvery < 0 {
+		return nil, fmt.Errorf("experiments: SampleEvery %v must be positive", cfg.SampleEvery)
+	}
 	racks := cfg.Scenario.Racks
 	if racks == 0 {
 		racks = 2

@@ -893,14 +893,35 @@ func (n *Network) setVOQCaps(cap int) {
 	}
 }
 
-// KickAll re-kicks every drainer on both racks. Besides the nominal slot
-// transitions, the fault injector calls it at drift-shifted boundaries,
-// where the data plane's day/night edges no longer coincide with the
-// control-plane events that normally kick.
+// KickAll re-kicks every drainer that can start now. Besides the nominal
+// slot transitions, the fault injector calls it at drift-shifted
+// boundaries, where the data plane's day/night edges no longer coincide with
+// the control-plane events that normally kick.
+//
+// A drainer's Kick is a no-op while its Path reports not-ok, so only the
+// drainers whose path the current data-plane TDN opens are kicked: none at
+// night, all of them on TDN 0 or on a two-rack network, and for optical TDN
+// k each rack's VOQ toward its matching-k peer. Evaluating dataPlaneTDN
+// once, on n.Loop, is exact: KickAll runs on the control lane, where every
+// rack lane's clock has reconverged to the same instant at the barrier, so
+// each skipped drainer's own Path would have read the same TDN. Kicks keep
+// the rack order of a full sweep, so event keys do not change.
 func (n *Network) KickAll() {
+	tdn, ok := n.dataPlaneTDN(n.Loop.Now())
+	if !ok {
+		return
+	}
+	if tdn == 0 || n.Cfg.Racks == 2 {
+		for _, rack := range n.Racks {
+			for _, d := range rack.drainers {
+				d.Kick()
+			}
+		}
+		return
+	}
 	for _, rack := range n.Racks {
-		for _, d := range rack.drainers {
-			d.Kick()
+		if peer := RotorPeer(n.Cfg.Racks, tdn, rack.ID); peer >= 0 {
+			rack.drainers[rack.qIndex(peer)].Kick()
 		}
 	}
 }

@@ -68,6 +68,24 @@ func TestScheduleValidation(t *testing.T) {
 
 // Property: At is periodic with period Week and slotEnd is always in the
 // future and at most one week away.
+// NewSchedule must own its slots: a later write to the caller's slice may
+// not desynchronize the schedule from its end-offset index.
+func TestNewScheduleCopiesSlots(t *testing.T) {
+	slots := []Slot{{TDN: 0, Dur: us(100)}, {TDN: NightTDN, Dur: us(10)}, {TDN: 1, Dur: us(50)}}
+	s := MustSchedule(slots)
+	slots[0] = Slot{TDN: 1, Dur: us(1)}
+	slots[2].TDN = 0
+	if s.Slots[0] != (Slot{TDN: 0, Dur: us(100)}) || s.Slots[2].TDN != 1 {
+		t.Fatalf("schedule slots follow the caller's slice: %v", s.Slots)
+	}
+	if tdn, ok, end := s.At(sim.Time(us(50))); tdn != 0 || !ok || end != sim.Time(us(100)) {
+		t.Fatalf("At(50us) = (%d, %v, %v), want (0, true, 100us)", tdn, ok, end)
+	}
+	if tdn, ok, end := s.At(sim.Time(us(120))); tdn != 1 || !ok || end != sim.Time(us(160)) {
+		t.Fatalf("At(120us) = (%d, %v, %v), want (1, true, 160us)", tdn, ok, end)
+	}
+}
+
 func TestScheduleAtProperty(t *testing.T) {
 	s := HybridWeek(6, us(180), us(20))
 	f := func(raw uint32) bool {

@@ -25,12 +25,20 @@ type Slot struct {
 
 // Schedule is a cyclic ("week", §2.1) sequence of days and nights. The
 // demand-oblivious schedules of RotorNet-style fabrics repeat indefinitely.
+//
+// A Schedule is immutable once built: every rack lane of a sharded run reads
+// the same one concurrently, so lookups keep no cursor.
 type Schedule struct {
 	Slots []Slot
 	week  sim.Dur
+	// starts[i] is the offset into the week at which Slots[i] begins, the
+	// index SlotAt binary-searches.
+	starts []sim.Dur
 }
 
-// NewSchedule validates and returns a schedule cycling through slots.
+// NewSchedule validates and returns a schedule cycling through slots. The
+// schedule keeps its own copy of slots, so later writes to the caller's
+// slice cannot desynchronize it from its index.
 func NewSchedule(slots []Slot) (*Schedule, error) {
 	if len(slots) == 0 {
 		return nil, fmt.Errorf("rdcn: schedule needs at least one slot")
@@ -41,6 +49,7 @@ func NewSchedule(slots []Slot) (*Schedule, error) {
 	// wraps. A cycle over a month is a misconfiguration, not a schedule.
 	const maxWeek = 30 * 24 * sim.Dur(3600) * sim.Second
 	var week sim.Dur
+	starts := make([]sim.Dur, len(slots))
 	for i, s := range slots {
 		if s.Dur <= 0 {
 			return nil, fmt.Errorf("rdcn: slot %d has non-positive duration", i)
@@ -48,12 +57,13 @@ func NewSchedule(slots []Slot) (*Schedule, error) {
 		if s.TDN < NightTDN {
 			return nil, fmt.Errorf("rdcn: slot %d has invalid TDN %d", i, s.TDN)
 		}
+		starts[i] = week
 		week += s.Dur
 		if week <= 0 || week > maxWeek { // overflow folds to a negative sum
 			return nil, fmt.Errorf("rdcn: schedule week overflows %v cap", maxWeek)
 		}
 	}
-	return &Schedule{Slots: slots, week: week}, nil
+	return &Schedule{Slots: append([]Slot(nil), slots...), week: week, starts: starts}, nil
 }
 
 // MustSchedule is NewSchedule that panics on error, for literals in tests
@@ -267,35 +277,44 @@ func (p *schedParser) expect(c byte) error {
 // schedule extends periodically in both directions): schedule-drift faults
 // evaluate At(now-offset), which goes negative early in a run.
 func (s *Schedule) At(t sim.Time) (tdn int, ok bool, slotEnd sim.Time) {
+	i, start := s.SlotAt(t)
+	sl := s.Slots[i]
+	return sl.TDN, sl.TDN != NightTDN, start.Add(sl.Dur)
+}
+
+// SlotAt returns the index into Slots of the slot active at t and the
+// absolute time that slot began, by binary search over the slots' start
+// offsets. Like At, it accepts negative t.
+func (s *Schedule) SlotAt(t sim.Time) (i int, start sim.Time) {
 	off := sim.Dur(int64(t) % int64(s.week))
 	if off < 0 { // Go's % follows the dividend's sign; fold into [0, week)
 		off += s.week
 	}
-	base := t.Add(-off)
-	for _, sl := range s.Slots {
-		if off < sl.Dur {
-			return sl.TDN, sl.TDN != NightTDN, base.Add(sl.Dur)
+	// Last slot starting at or before off; starts[0] == 0 ≤ off.
+	lo, hi := 0, len(s.starts)-1
+	for lo < hi {
+		m := int(uint(lo+hi+1) >> 1)
+		if s.starts[m] <= off {
+			lo = m
+		} else {
+			hi = m - 1
 		}
-		off -= sl.Dur
-		base = base.Add(sl.Dur)
 	}
-	// Unreachable: off < week by construction.
-	panic("rdcn: schedule walk overflow")
+	return lo, t.Add(s.starts[lo] - off)
 }
 
 // NextDayStart returns the first slot boundary strictly after t at which a
 // day (non-night slot) begins, along with that day's TDN.
 func (s *Schedule) NextDayStart(t sim.Time) (sim.Time, int) {
-	_, _, b := s.At(t)
-	for i := 0; i <= len(s.Slots); i++ {
-		tdn, ok, end := s.At(b)
-		if ok {
-			return b, tdn
+	i, b := s.SlotAt(t)
+	for range s.Slots {
+		b = b.Add(s.Slots[i].Dur)
+		i = (i + 1) % len(s.Slots)
+		if sl := s.Slots[i]; sl.TDN != NightTDN {
+			return b, sl.TDN
 		}
-		b = end
 	}
-	// A schedule of only nights is rejected by NewSchedule... but guard
-	// against all-night schedules constructed directly.
+	// NewSchedule accepts a schedule of only nights; it has no day to find.
 	panic("rdcn: schedule has no day slots")
 }
 

@@ -6,6 +6,8 @@
 package workload
 
 import (
+	"fmt"
+
 	"github.com/rdcn-net/tdtcp/internal/rdcn"
 	"github.com/rdcn-net/tdtcp/internal/sim"
 	"github.com/rdcn-net/tdtcp/internal/stats"
@@ -13,20 +15,44 @@ import (
 
 // OptimalBytes returns the bytes an idealized TCP delivers by time t: the
 // active TDN's full bottleneck rate during each day, nothing during nights
-// (§2.2's "optimal" curve).
+// (§2.2's "optimal" curve). It is 0 for t ≤ 0.
 func OptimalBytes(sch *rdcn.Schedule, tdns []rdcn.TDNParams, t sim.Time) int64 {
-	var total int64
-	var cur sim.Time
-	for cur < t {
-		tdn, ok, slotEnd := sch.At(cur)
-		end := slotEnd
-		if end > t {
-			end = t
+	return newOptimalTable(sch, tdns).bytes(t)
+}
+
+// optimalTable is the optimal curve over one schedule week: the optimal
+// bytes delivered before each slot. The curve is a walk that adds a floored
+// Rate.BytesIn per slot piece; every whole slot contributes the same floored
+// amount in every week, so the walk to t equals whole weeks × weekBytes,
+// plus the prefix before t's slot, plus the floored partial piece of that
+// slot.
+type optimalTable struct {
+	sch       *rdcn.Schedule
+	tdns      []rdcn.TDNParams
+	prefix    []int64 // prefix[i] is the optimal bytes of slots [0, i)
+	weekBytes int64
+}
+
+func newOptimalTable(sch *rdcn.Schedule, tdns []rdcn.TDNParams) *optimalTable {
+	o := &optimalTable{sch: sch, tdns: tdns, prefix: make([]int64, len(sch.Slots))}
+	for i, sl := range sch.Slots {
+		o.prefix[i] = o.weekBytes
+		if sl.TDN != rdcn.NightTDN {
+			o.weekBytes += tdns[sl.TDN].Rate.BytesIn(sl.Dur)
 		}
-		if ok {
-			total += tdns[tdn].Rate.BytesIn(end.Sub(cur))
-		}
-		cur = end
+	}
+	return o
+}
+
+// bytes evaluates the curve at t in O(log slots).
+func (o *optimalTable) bytes(t sim.Time) int64 {
+	if t <= 0 {
+		return 0
+	}
+	i, start := o.sch.SlotAt(t)
+	total := int64(t)/int64(o.sch.Week())*o.weekBytes + o.prefix[i]
+	if sl := o.sch.Slots[i]; sl.TDN != rdcn.NightTDN {
+		total += o.tdns[sl.TDN].Rate.BytesIn(t.Sub(start))
 	}
 	return total
 }
@@ -37,22 +63,39 @@ func PacketOnlyBytes(rate sim.Rate, t sim.Time) int64 {
 	return rate.BytesIn(sim.Dur(t))
 }
 
-// OptimalSeries samples OptimalBytes on [from, to] at the given step.
+// OptimalSeries samples OptimalBytes on [from, to] at the given step. It
+// builds the one-week table once, so each sample costs O(log slots). step
+// must be positive.
 func OptimalSeries(sch *rdcn.Schedule, tdns []rdcn.TDNParams, from, to sim.Time, step sim.Dur) *stats.Series {
-	s := &stats.Series{Label: "optimal"}
+	o := newOptimalTable(sch, tdns)
+	s := newSeries("optimal", from, to, step)
 	for t := from; t <= to; t = t.Add(step) {
-		s.Add(t, float64(OptimalBytes(sch, tdns, t)))
+		s.Add(t, float64(o.bytes(t)))
 	}
 	return s
 }
 
-// PacketOnlySeries samples PacketOnlyBytes on [from, to] at the given step.
+// PacketOnlySeries samples PacketOnlyBytes on [from, to] at the given step,
+// which must be positive.
 func PacketOnlySeries(rate sim.Rate, from, to sim.Time, step sim.Dur) *stats.Series {
-	s := &stats.Series{Label: "packet only"}
+	s := newSeries("packet only", from, to, step)
 	for t := from; t <= to; t = t.Add(step) {
 		s.Add(t, float64(PacketOnlyBytes(rate, t)))
 	}
 	return s
+}
+
+// newSeries returns an empty series sized for the samples on [from, to] at
+// step. A non-positive step would never advance past to, so it panics.
+func newSeries(label string, from, to sim.Time, step sim.Dur) *stats.Series {
+	if step <= 0 {
+		panic(fmt.Sprintf("workload: non-positive sampling step %v", step))
+	}
+	n := 0
+	if to >= from {
+		n = int(to.Sub(from)/step) + 1
+	}
+	return &stats.Series{Label: label, T: make([]float64, 0, n), V: make([]float64, 0, n)}
 }
 
 // OptimalGbps returns the long-run average rate of the optimal curve.

@@ -464,7 +464,10 @@ func NewFaultInjector(loop *Loop, plan FaultPlan, seed int64) *FaultInjector {
 // NewInvariantChecker hooks a checker into loop's post-event point.
 func NewInvariantChecker(loop *Loop) *InvariantChecker { return invariant.New(loop) }
 
-// Analytic references (§2.2).
+// OptimalBytes is the §2.2 optimal reference: the bytes an idealized TCP
+// delivers by t using the active TDN's full rate each day and nothing at
+// night. It is computed in closed form from one schedule week (whole weeks
+// plus a per-slot prefix sum), so its cost does not grow with t.
 func OptimalBytes(sch *Schedule, tdns []TDNParams, t Time) int64 {
 	return workload.OptimalBytes(sch, tdns, t)
 }
