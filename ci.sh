@@ -47,8 +47,10 @@ go test -race -run TestSweepParallelMatchesSequential ./internal/experiments/
 go test -race -run 'TestMeterConcurrentReads|TestReporter' ./internal/obs/
 
 # Golden-figure regression gate under the race detector: figure orderings,
-# goodput bands, the 8-rack determinism trace, the workload sweep parity
-# check, and the conservation property suite.
+# goodput bands, the committed trace digests (TestGoldenDigests: full
+# CatAll traces plus result summaries of the hybrid, rotor, fault, workload
+# and shard-parity scenarios), the 8-rack run-to-run determinism trace, the
+# workload sweep parity check, and the conservation property suite.
 go test -race -run 'TestGolden|TestConservation' ./internal/experiments/
 
 # Shard parity gate: the sharded engine must produce byte-identical traces

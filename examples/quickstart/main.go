@@ -12,16 +12,14 @@ import (
 )
 
 func main() {
-	loop := tdtcp.NewLoop(42)
-
 	cfg := tdtcp.DefaultNetworkConfig()
 	cfg.HostsPerRack = 1 // a single flow gets the fabric to itself
-	net, err := tdtcp.NewNetwork(loop, cfg)
+	net, err := tdtcp.NewNetwork(42, cfg)
 	if err != nil {
 		panic(err)
 	}
 
-	flow, err := tdtcp.BuildFlow(loop, net, 0, tdtcp.TDTCP, tdtcp.FlowOptions{})
+	flow, err := tdtcp.BuildFlow(net, 0, tdtcp.TDTCP, tdtcp.FlowOptions{})
 	if err != nil {
 		panic(err)
 	}
@@ -30,12 +28,12 @@ func main() {
 	end := tdtcp.Time(tdtcp.Duration(weeks) * cfg.Schedule.Week())
 	net.Start(end)
 	flow.Start(-1) // stream indefinitely
-	loop.RunUntil(end)
+	net.Engine.RunUntil(end)
 
 	delivered := flow.Delivered()
 	gbps := float64(delivered) * 8 / (float64(end) / 1e9) / 1e9
 	fmt.Printf("ran %d optical weeks (%.1f ms simulated, %d events)\n",
-		weeks, end.Microseconds()/1000, loop.Fired())
+		weeks, end.Microseconds()/1000, net.Engine.Fired())
 	fmt.Printf("delivered %.1f MB -> %.2f Gbps (optimal %.2f, packet-only %.2f)\n",
 		float64(delivered)/1e6, gbps,
 		tdtcp.OptimalGbps(cfg.Schedule, cfg.TDNs), float64(cfg.TDNs[0].Rate)/1e9)

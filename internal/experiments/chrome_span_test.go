@@ -14,8 +14,8 @@ import (
 // names all survive the export, and two identical seeds export byte-identical
 // Chrome JSON (stable ordering).
 func TestChromeSpanRoundTrip(t *testing.T) {
-	jsonlA := rotorTraceRun(t, false)
-	jsonlB := rotorTraceRun(t, false)
+	jsonlA := rotorTraceRun(t)
+	jsonlB := rotorTraceRun(t)
 
 	var chromeA, chromeB bytes.Buffer
 	if err := trace.Chrome(bytes.NewReader(jsonlA), &chromeA); err != nil {

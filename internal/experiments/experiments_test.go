@@ -160,17 +160,16 @@ func TestFigureRunnersQuick(t *testing.T) {
 }
 
 func TestBuildFlowValidation(t *testing.T) {
-	loop := sim.NewLoop(1)
 	cfg := rdcn.DefaultConfig()
 	cfg.HostsPerRack = 2
-	net, err := rdcn.New(loop, cfg)
+	net, err := rdcn.New(cfg, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BuildFlow(loop, net, 5, Cubic, FlowOptions{}); err == nil {
+	if _, err := BuildFlow(net, 5, Cubic, FlowOptions{}); err == nil {
 		t.Fatal("out-of-range host accepted")
 	}
-	f, err := BuildFlow(loop, net, 1, MPTCP, FlowOptions{})
+	f, err := BuildFlow(net, 1, MPTCP, FlowOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,10 @@ import (
 	"testing"
 
 	"github.com/rdcn-net/tdtcp/internal/fault"
+	"github.com/rdcn-net/tdtcp/internal/invariant"
 	"github.com/rdcn-net/tdtcp/internal/obs"
+	"github.com/rdcn-net/tdtcp/internal/rdcn"
+	"github.com/rdcn-net/tdtcp/internal/sim"
 	"github.com/rdcn-net/tdtcp/internal/trace"
 )
 
@@ -177,5 +180,99 @@ func TestDeadmanEngagesUnderNotificationLoss(t *testing.T) {
 	if res.GoodputGbps < 0.5*clean.GoodputGbps {
 		t.Fatalf("notification loss halved throughput despite deadman: %0.2f vs %0.2f Gbps",
 			res.GoodputGbps, clean.GoodputGbps)
+	}
+}
+
+// TestInvariantsCheckEveryEvent pins the checker's coverage: on a checked
+// run it sweeps after every event on every engine lane, so its check count
+// equals the engine's fired-event count, and the recorded violations do not
+// depend on the worker count.
+func TestInvariantsCheckEveryEvent(t *testing.T) {
+	plan, err := fault.Parse("drop=0.02,corrupt=0.01,nloss=0.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var base []string
+	for _, shards := range []int{1, 4} {
+		m := trace.NewRegistry()
+		res, err := Run(RunConfig{Variant: TDTCP, Scenario: MultiRack(4), Flows: 8,
+			WarmupWeeks: 1, MeasureWeeks: 1, Seed: 3, Shards: shards,
+			Fault: &plan, Invariants: true, Metrics: m})
+		if err != nil {
+			t.Fatalf("%d shards: %v", shards, err)
+		}
+		if fired := uint64(m.Counter("sim.events_fired")); res.InvariantChecks != fired {
+			t.Fatalf("%d shards: %d invariant checks for %d events fired", shards, res.InvariantChecks, fired)
+		}
+		var vs []string
+		for _, v := range res.Violations {
+			vs = append(vs, v.String())
+		}
+		if shards == 1 {
+			base = vs
+			continue
+		}
+		if fmt.Sprint(vs) != fmt.Sprint(base) {
+			t.Fatalf("%d shards: violations %v != sequential %v", shards, vs, base)
+		}
+	}
+}
+
+// TestInvariantViolationsMergeAcrossLanes corrupts three senders' pipe
+// counters from events on their own rack lanes: each rack lane must catch
+// its corruption at the corrupting instant (not at the next control-lane
+// event), and the merged violations must come out in (time, lane) order,
+// identically at every worker count.
+func TestInvariantViolationsMergeAcrossLanes(t *testing.T) {
+	t0, t1 := sim.Time(300*sim.Microsecond+7), sim.Time(500*sim.Microsecond+3)
+	run := func(shards int) []invariant.Violation {
+		sc := MultiRack(4)
+		ncfg := rdcn.DefaultConfig()
+		ncfg.Racks, ncfg.HostsPerRack = 4, 1
+		ncfg.TDNs, ncfg.Schedule, ncfg.VOQCap = sc.TDNs, sc.Schedule, sc.VOQCap
+		net, err := rdcn.New(ncfg, 5, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chk := invariant.New(net.Engine)
+		chk.WatchNetwork(net)
+		mn := newMuxNet(net)
+		var flows []*Flow
+		for r := 0; r < 4; r++ {
+			f, err := mn.BuildFlow(r, 0, (r+1)%4, 0, uint16(40000+r), TDTCP, FlowOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			chk.WatchConn(f.Snd, r)
+			chk.WatchConn(f.Rcv, r)
+			f.Start(-1)
+			flows = append(flows, f)
+		}
+		corrupt := func(f *Flow, at sim.Time) {
+			f.Snd.Loop.At(at, func() { f.Snd.States()[0].AddPacketsOut(1000) })
+		}
+		corrupt(flows[2], t1)
+		corrupt(flows[1], t1)
+		corrupt(flows[3], t0)
+		end := sim.Time(sc.Schedule.Week())
+		net.Start(end)
+		net.Engine.RunUntil(end)
+		return chk.Violations()
+	}
+	want := []struct {
+		at   sim.Time
+		site string
+	}{{t0, "conn[3]"}, {t1, "conn[1]"}, {t1, "conn[2]"}}
+	base := run(1)
+	if len(base) != len(want) {
+		t.Fatalf("violations %v, want %d", base, len(want))
+	}
+	for i, w := range want {
+		if base[i].At != w.at || base[i].Site != w.site {
+			t.Fatalf("violation %d = %v, want %s at %v", i, base[i], w.site, w.at)
+		}
+	}
+	if got := run(4); fmt.Sprint(got) != fmt.Sprint(base) {
+		t.Fatalf("4 shards: violations %v != sequential %v", got, base)
 	}
 }

@@ -41,7 +41,6 @@ func TestRunHasFlightRecorderByDefault(t *testing.T) {
 // snapshot that still contains the failing flow's causal "flow" span, and
 // write a banner-led JSONL dump.
 func TestInvariantFailureDumpsFlight(t *testing.T) {
-	loop := sim.NewLoop(1)
 	flight := trace.NewFlight(trace.DefaultFlightLen, trace.CatAll)
 	obs.DumpOnFailure(t, flight)
 	tracer := (*trace.Tracer)(nil).WithFlight(flight)
@@ -52,33 +51,34 @@ func TestInvariantFailureDumpsFlight(t *testing.T) {
 	ncfg.TDNs = sc.TDNs
 	ncfg.Schedule = sc.Schedule
 	ncfg.VOQCap = sc.VOQCap
-	net, err := rdcn.New(loop, ncfg)
+	net, err := rdcn.New(ncfg, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	loop.SetTracer(tracer)
+	loop := net.Loop
 	net.SetTracer(tracer)
 
-	chk := invariant.New(loop)
+	chk := invariant.New(net.Engine)
 	chk.SetTracer(tracer)
 	var dump bytes.Buffer
 	chk.SetFlight(flight, &dump)
 	chk.WatchNetwork(net)
 
-	f, err := BuildFlow(loop, net, 0, TDTCP, FlowOptions{})
+	f, err := BuildFlow(net, 0, TDTCP, FlowOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.SetTracer(tracer, 0)
+	f.SetTracer(net.Racks[0].Tracer(), 0)
 	chk.WatchConn(f.Snd, 0)
 	chk.WatchConn(f.Rcv, 0)
 
 	// An induced invariant that trips shortly after start, while the ring
-	// still holds the run's opening records.
+	// still holds the run's opening records. Funcs run on control-lane
+	// sweeps, one per schedule transition here.
 	sweeps := 0
 	chk.WatchFunc("induced", 0, func() error {
 		sweeps++
-		if sweeps > 120 {
+		if sweeps > 5 {
 			return errors.New("induced failure for flight-dump test")
 		}
 		return nil
@@ -88,7 +88,7 @@ func TestInvariantFailureDumpsFlight(t *testing.T) {
 	net.Start(end)
 	sp := tracer.BeginSpan(trace.CatTCP, int64(loop.Now()), "flow", 0, -1, 0)
 	f.Start(-1)
-	loop.RunUntil(end)
+	net.Engine.RunUntil(end)
 	tracer.EndSpan(trace.CatTCP, int64(loop.Now()), "flow", 0, -1, sp, float64(f.Delivered()), 0)
 
 	if len(chk.Violations()) == 0 {

@@ -244,10 +244,9 @@ func singlePathConfigs(net *rdcn.Network, v Variant, opt FlowOptions) (sndCfg, r
 // BuildFlow wires one flow of the given variant between host i of rack 0
 // (sender) and host i of rack 1 (receiver), registering receive and
 // notification upcalls on both hosts. Each endpoint's connection lives on
-// its own rack's loop (Rack.Loop; identical to the loop argument on a
-// classic single-loop network), so under the sharded engine a connection's
-// timers fire on the lane that owns its host.
-func BuildFlow(loop *sim.Loop, net *rdcn.Network, i int, v Variant, opt FlowOptions) (*Flow, error) {
+// its own rack's lane (Rack.Loop), so a connection's timers fire on the lane
+// that owns its host.
+func BuildFlow(net *rdcn.Network, i int, v Variant, opt FlowOptions) (*Flow, error) {
 	if i < 0 || i >= net.Cfg.HostsPerRack {
 		return nil, fmt.Errorf("experiments: host index %d out of range", i)
 	}
@@ -277,8 +276,6 @@ func BuildFlow(loop *sim.Loop, net *rdcn.Network, i int, v Variant, opt FlowOpti
 
 	h0.Recv = inputAdapter(f.Snd)
 	h1.Recv = inputAdapter(f.Rcv)
-	h0.RecvBatch = batchRecv(h0.Recv)
-	h1.RecvBatch = batchRecv(h1.Recv)
 
 	switch v {
 	case TDTCP:
@@ -335,17 +332,6 @@ func inputAdapter(c *tcp.Conn) func(netem.Frame) {
 			return // corrupted frames are dropped silently, as on a real NIC
 		}
 		c.Input(seg)
-	}
-}
-
-// batchRecv adapts a per-frame receive hook to the batched delivery upcall:
-// one call from the fabric per (host, TDN) batch, one Input per segment
-// inside, so the protocol sees the exact frame-at-a-time order.
-func batchRecv(recv func(netem.Frame)) func([]netem.Frame, int) {
-	return func(fs []netem.Frame, _ int) {
-		for _, fr := range fs {
-			recv(fr)
-		}
 	}
 }
 
@@ -417,8 +403,6 @@ func buildMPTCP(f *Flow, h0, h1 *rdcn.Host, ntdns int, opt FlowOptions) {
 
 	h0.Recv = mptcpInputAdapter(f.MSnd, 40000, ntdns)
 	h1.Recv = mptcpInputAdapter(f.MRcv, 5000, ntdns)
-	h0.RecvBatch = batchRecv(h0.Recv)
-	h1.RecvBatch = batchRecv(h1.Recv)
 	h0.NotifyTDN = func(tdn int, epoch uint32) {
 		cur0 = tdn
 		if tdn >= 0 && tdn < ntdns {

@@ -145,14 +145,14 @@ func TestGoldenRotor8(t *testing.T) {
 
 // rotorTraceRun executes a short 8-rack TDTCP run with a full-category tracer
 // and returns the JSONL bytes.
-func rotorTraceRun(t *testing.T, disablePool bool) []byte {
+func rotorTraceRun(t *testing.T) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	tr := trace.New(&buf, trace.CatAll)
 	_, err := Run(RunConfig{
 		Variant: TDTCP, Scenario: MultiRack(8), Flows: 8,
 		WarmupWeeks: 1, MeasureWeeks: 1, Seed: 7,
-		Tracer: tr, DisableFramePool: disablePool,
+		Tracer: tr,
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -165,14 +165,14 @@ func rotorTraceRun(t *testing.T, disablePool bool) []byte {
 
 // workloadTraceRun executes a short 8-rack websearch workload with a
 // full-category tracer and returns the JSONL bytes.
-func workloadTraceRun(t *testing.T, disablePool bool) []byte {
+func workloadTraceRun(t *testing.T) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	tr := trace.New(&buf, trace.CatAll)
 	_, err := RunWorkload(WorkloadConfig{
 		Variant: TDTCP, Scenario: MultiRack(8),
 		WarmupWeeks: 1, MeasureWeeks: 1, Seed: 7,
-		Tracer: tr, DisableFramePool: disablePool,
+		Tracer: tr,
 	})
 	if err != nil {
 		t.Fatalf("RunWorkload: %v", err)
@@ -185,32 +185,26 @@ func workloadTraceRun(t *testing.T, disablePool bool) []byte {
 
 // TestGoldenMultiRackDeterminism extends the golden-trace gate to the rotor
 // fabric: the same seeded 8-rack run (long-lived flows, and the open-loop
-// workload) must produce byte-identical JSONL traces run-to-run and with the
-// frame pool disabled.
+// workload) must produce byte-identical JSONL traces run-to-run.
+// TestGoldenDigests pins the same two runs against committed digests.
 func TestGoldenMultiRackDeterminism(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		run  func(t *testing.T, disablePool bool) []byte
+		run  func(t *testing.T) []byte
 	}{
 		{"run", rotorTraceRun},
 		{"workload", workloadTraceRun},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			pooled := tc.run(t, false)
-			pooled2 := tc.run(t, false)
-			unpooled := tc.run(t, true)
-			if len(pooled) == 0 {
+			first := tc.run(t)
+			second := tc.run(t)
+			if len(first) == 0 {
 				t.Fatal("traced run produced no events")
 			}
-			if !bytes.Equal(pooled, pooled2) {
-				d := firstDiffLine(pooled, pooled2)
+			if !bytes.Equal(first, second) {
+				d := firstDiffLine(first, second)
 				t.Fatalf("same-seed runs diverge at line %d\nfirst:  %s\nsecond: %s",
-					d, lineAt(pooled, d), lineAt(pooled2, d))
-			}
-			if !bytes.Equal(pooled, unpooled) {
-				d := firstDiffLine(pooled, unpooled)
-				t.Fatalf("pooling is observable: traces diverge at line %d\npooled:   %s\nunpooled: %s",
-					d, lineAt(pooled, d), lineAt(unpooled, d))
+					d, lineAt(first, d), lineAt(second, d))
 			}
 		})
 	}

@@ -130,26 +130,24 @@ func TestShardParityWorkload(t *testing.T) {
 	}
 }
 
-// shardLedgerRun is a bare engine+network run (no Run wrapper) so the test
-// can reach each Rack's slice of the conservation ledger.
-func shardLedgerRun(t *testing.T, shards int) (*rdcn.Network, *sim.ShardedLoop) {
+// shardLedgerRun is a bare network run (no Run wrapper) so the test can
+// reach each Rack's slice of the conservation ledger.
+func shardLedgerRun(t *testing.T, shards int) *rdcn.Network {
 	t.Helper()
 	const racks, hosts = 2, 4
 	sc := Hybrid()
-	engine := sim.NewSharded(3, racks, shards)
 	ncfg := rdcn.DefaultConfig()
 	ncfg.Racks = racks
 	ncfg.HostsPerRack = hosts
 	ncfg.TDNs = sc.TDNs
 	ncfg.Schedule = sc.Schedule
 	ncfg.VOQCap = sc.VOQCap
-	ncfg.Cluster = engine
-	net, err := rdcn.New(engine.Control(), ncfg)
+	net, err := rdcn.New(ncfg, 3, shards)
 	if err != nil {
 		t.Fatalf("rdcn.New: %v", err)
 	}
 	for i := 0; i < hosts; i++ {
-		f, err := BuildFlow(engine.Control(), net, i, TDTCP, FlowOptions{})
+		f, err := BuildFlow(net, i, TDTCP, FlowOptions{})
 		if err != nil {
 			t.Fatalf("BuildFlow: %v", err)
 		}
@@ -157,8 +155,8 @@ func shardLedgerRun(t *testing.T, shards int) (*rdcn.Network, *sim.ShardedLoop) 
 	}
 	end := sim.Time(2 * sc.Schedule.Week())
 	net.Start(end)
-	engine.RunUntil(end)
-	return net, engine
+	net.Engine.RunUntil(end)
+	return net
 }
 
 // TestShardPerRackLedger checks the conservation ledger at both granularities
@@ -169,7 +167,7 @@ func TestShardPerRackLedger(t *testing.T) {
 	type ledger struct{ sent, delivered, misrouted uint64 }
 	perShard := map[int][]ledger{}
 	for _, shards := range []int{1, 2, 4, 8} {
-		net, _ := shardLedgerRun(t, shards)
+		net := shardLedgerRun(t, shards)
 		var sums ledger
 		var rl []ledger
 		for _, rack := range net.Racks {

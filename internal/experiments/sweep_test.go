@@ -3,8 +3,6 @@ package experiments
 import (
 	"bytes"
 	"testing"
-
-	"github.com/rdcn-net/tdtcp/internal/trace"
 )
 
 // sweepMatrix returns the 8-cell matrix (4 variants x 2 seeds) of short
@@ -63,52 +61,6 @@ func TestMatrixOrder(t *testing.T) {
 			t.Errorf("cell %d = (%s, %d), want (%s, %d)",
 				i, cfgs[i].Variant, cfgs[i].Seed, w.v, w.s)
 		}
-	}
-}
-
-// goldenTraceRun executes a short TDTCP hybrid run with a full-category
-// tracer and returns the JSONL bytes.
-func goldenTraceRun(t *testing.T, seed int64, disablePool bool) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	tr := trace.New(&buf, trace.CatAll)
-	_, err := Run(RunConfig{
-		Variant:          TDTCP,
-		Scenario:         Hybrid(),
-		Flows:            2,
-		WarmupWeeks:      1,
-		MeasureWeeks:     1,
-		Seed:             seed,
-		Tracer:           tr,
-		DisableFramePool: disablePool,
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if err := tr.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	return buf.Bytes()
-}
-
-// TestFramePoolGoldenTrace is the pooling A/B gate: recycling wire buffers
-// must be completely unobservable. The same seeded hybrid scenario is run
-// with pooling on (twice, to also catch pool-state leakage across the run's
-// own lifetime) and off, and all traces must be byte-identical JSONL.
-func TestFramePoolGoldenTrace(t *testing.T) {
-	pooled := goldenTraceRun(t, 42, false)
-	pooled2 := goldenTraceRun(t, 42, false)
-	unpooled := goldenTraceRun(t, 42, true)
-	if len(pooled) == 0 {
-		t.Fatal("traced run produced no events")
-	}
-	if !bytes.Equal(pooled, pooled2) {
-		t.Fatalf("pooled runs of the same seed diverge (%d vs %d bytes)", len(pooled), len(pooled2))
-	}
-	if !bytes.Equal(pooled, unpooled) {
-		d := firstDiffLine(pooled, unpooled)
-		t.Fatalf("pooling is observable: traces diverge at line %d\npooled:   %s\nunpooled: %s",
-			d, lineAt(pooled, d), lineAt(unpooled, d))
 	}
 }
 

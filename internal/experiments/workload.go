@@ -43,14 +43,6 @@ func (m *hostMux) recv(fr netem.Frame) {
 	}
 }
 
-// recvBatch is the batched-delivery counterpart of recv: one upcall per
-// (host, TDN) batch, one demuxed Input per frame inside.
-func (m *hostMux) recvBatch(fs []netem.Frame, _ int) {
-	for _, fr := range fs {
-		m.recv(fr)
-	}
-}
-
 func (m *hostMux) notifyTDN(tdn int, epoch uint32) {
 	for _, fn := range m.notify {
 		fn(tdn, epoch)
@@ -73,7 +65,6 @@ func newMuxNet(net *rdcn.Network) *muxNet {
 			m := newHostMux()
 			mn.muxes[r][h] = m
 			host.Recv = m.recv
-			host.RecvBatch = m.recvBatch
 			host.NotifyTDN = m.notifyTDN
 		}
 	}
@@ -85,7 +76,7 @@ func newMuxNet(net *rdcn.Network) *muxNet {
 // per endpoint host — it is the demux key on both sides. MPTCP and the reTCP
 // variants are two-rack constructs (subflow pinning and the circuit-up signal
 // have no rotor analogue) and are rejected.
-func (mn *muxNet) BuildFlow(loop *sim.Loop, srcRack, srcHost, dstRack, dstHost int,
+func (mn *muxNet) BuildFlow(srcRack, srcHost, dstRack, dstHost int,
 	port uint16, v Variant, opt FlowOptions) (*Flow, error) {
 	switch v {
 	case MPTCP, ReTCP, ReTCPDyn:
@@ -188,12 +179,6 @@ type WorkloadConfig struct {
 	// RunConfig.Meter); workload runs additionally count flow arrivals and
 	// completions through it.
 	Meter *obs.Meter
-	// DisableFramePool turns off wire-buffer recycling (determinism probe,
-	// see RunConfig.DisableFramePool).
-	DisableFramePool bool
-	// DisableBatchDelivery reverts to frame-at-a-time delivery (determinism
-	// probe, see RunConfig.DisableBatchDelivery).
-	DisableBatchDelivery bool
 	// Stop and StopEvery mirror RunConfig: the cooperative cancellation
 	// seam, polled between events, that makes RunWorkload return an error
 	// wrapping ErrCancelled without perturbing the executed prefix.
@@ -304,19 +289,6 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 		}
 	}()
 
-	// The sharded engine runs every workload (see RunConfig.Shards): one lane
-	// per rack plus the control lane, where the arrival process lives.
-	engine := sim.NewSharded(cfg.Seed, racks, cfg.Shards)
-	loop := engine.Control()
-	if cfg.Meter != nil {
-		cfg.Meter.Attach(loop)
-		for r := 0; r < racks; r++ {
-			cfg.Meter.Attach(engine.RackLoop(r))
-		}
-	}
-	if cfg.Stop != nil {
-		engine.SetStopCheck(cfg.StopEvery, cfg.Stop)
-	}
 	ncfg := rdcn.DefaultConfig()
 	ncfg.Racks = racks
 	ncfg.HostsPerRack = cfg.Hosts
@@ -324,17 +296,21 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 	ncfg.Schedule = cfg.Scenario.Schedule
 	ncfg.VOQCap = cfg.Scenario.VOQCap
 	ncfg.MarkThresh = cfg.MarkThresh
-	ncfg.DisableFramePool = cfg.DisableFramePool
-	ncfg.DisableBatchDelivery = cfg.DisableBatchDelivery
 	if cfg.Notify != nil {
 		ncfg.Notify = *cfg.Notify
 	}
-	ncfg.Cluster = engine
-	net, err := rdcn.New(loop, ncfg)
+	// The network's sharded engine runs every workload (see
+	// RunConfig.Shards): one lane per rack plus the control lane, where the
+	// arrival process lives.
+	net, err := rdcn.New(ncfg, cfg.Seed, cfg.Shards)
 	if err != nil {
 		return nil, err
 	}
-	engine.SetTracer(tracer)
+	engine, loop := net.Engine, net.Loop
+	attachMeter(cfg.Meter, engine)
+	if cfg.Stop != nil {
+		engine.SetStopCheck(cfg.StopEvery, cfg.Stop)
+	}
 	net.SetTracer(tracer)
 	if m := cfg.Metrics; m != nil {
 		net.NotifyLat = m.Hist("rdcn.notify_lat_ns")
@@ -383,7 +359,7 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 		size := cfg.Dist.Sample(rng)
 		port := uint16(nextPort)
 		nextPort++
-		f, err := mn.BuildFlow(loop, src, sh, dst, dh, port, cfg.Variant, cfg.Flow)
+		f, err := mn.BuildFlow(src, sh, dst, dh, port, cfg.Variant, cfg.Flow)
 		if err != nil {
 			buildErr = err
 			return

@@ -12,7 +12,7 @@ import (
 // after the marker is a free-form note:
 //
 //	//lint:hotpath fires once per delivered frame
-//	func (d *drainDelivery) fire() { ... }
+//	func (k *Dock) deliver(batch []pending) { ... }
 //
 // The contract is checked against the compiler's own escape analysis
 // (go build -gcflags=-m=1), so it covers exactly what the runtime would

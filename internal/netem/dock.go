@@ -4,9 +4,9 @@ import (
 	"github.com/rdcn-net/tdtcp/internal/sim"
 )
 
-// Dock is the cross-shard propagation-delay stage: the sharded engine's
-// replacement for a Drainer's delayLine when source and destination rack
-// live on different simulation lanes (internal/sim's ShardedLoop).
+// Dock is the cross-lane propagation-delay stage of a ToR uplink: source and
+// destination rack live on different simulation lanes of the sharded engine
+// (internal/sim's ShardedLoop).
 //
 // A frame leaving rack src's uplink toward rack dst is staged on the SOURCE
 // lane with an absolute due time (src clock + propagation delay). The
@@ -14,34 +14,22 @@ import (
 // window's end, so the frame cannot be owed to the destination before the
 // next barrier; at that barrier the engine runs the dock's deferred flush —
 // with every worker parked — moving the staged frames into the
-// DESTINATION-owned due-ordered ring and arming a single timer on the
-// destination lane. Ownership therefore alternates with the engine's phases
-// (stage: src worker; ring: dst worker; handoff: coordinator), so no field
-// is ever touched by two goroutines without a barrier between them.
+// DESTINATION-owned delayLine and arming its single timer on the destination
+// lane. Ownership therefore alternates with the engine's phases (stage: src
+// worker; delay line: dst worker; handoff: coordinator), so no field is ever
+// touched by two goroutines without a barrier between them.
 //
-// Delivery behaviour matches the delayLine byte for byte: frames whose due
-// expires at one instant are handed downstream in (due, insertion) order,
-// grouped into maximal consecutive same-TDN runs through OutBatch, or
-// frame-at-a-time through Out when batching is disabled.
+// Frames whose due expires at one instant reach the sink in (due,
+// insertion) order, one call per frame.
 type Dock struct {
 	src, dst int
 	srcLoop  *sim.Loop
-	dstLoop  *sim.Loop
 	deferFn  func(src, dst int, fn func())
-
-	// Out / OutBatch: destination-side sinks, same contract as Drainer's.
-	Out      Sink
-	OutBatch func(fs []Frame, tdn int)
+	out      Sink // destination-side sink
 
 	stage   []pending // src-owned: frames docked this window
 	flushFn func()    // bound once; registered with deferFn on first stage
-
-	ring   []pending // dst-owned: due-ordered, served by one timer
-	head   int
-	timer  sim.Timer
-	fireFn func()
-	out    []pending // scratch batch, reused across fires
-	scr    []Frame   // OutBatch scratch, reused
+	line    delayLine // dst-owned
 
 	// Conservation ledger: armed is written by the source lane, delivered
 	// by the destination lane; both are read only at barriers (per-shard
@@ -51,96 +39,52 @@ type Dock struct {
 }
 
 // NewDock returns a dock carrying frames from rack src's lane to rack dst's
-// lane. deferFn registers a barrier callback with the engine (ShardedLoop's
-// Defer); the dock calls it at most once per window.
-func NewDock(src, dst int, srcLoop, dstLoop *sim.Loop, deferFn func(src, dst int, fn func())) *Dock {
-	k := &Dock{src: src, dst: dst, srcLoop: srcLoop, dstLoop: dstLoop, deferFn: deferFn}
+// lane, where out consumes them. deferFn registers a barrier callback with
+// the engine (ShardedLoop's Defer); the dock calls it at most once per
+// window.
+func NewDock(src, dst int, srcLoop, dstLoop *sim.Loop, deferFn func(src, dst int, fn func()), out Sink) *Dock {
+	k := &Dock{src: src, dst: dst, srcLoop: srcLoop, deferFn: deferFn, out: out}
 	k.flushFn = k.flush
-	k.fireFn = k.fire
+	k.line.init(dstLoop, k.deliver)
 	return k
 }
 
 // Add stages a frame due delay after the source lane's clock. Source lane
 // only.
 //
-//lint:hotpath runs once per cross-shard frame
-func (k *Dock) Add(f Frame, delay sim.Dur, tdn int) {
+//lint:hotpath runs once per cross-lane frame
+func (k *Dock) Add(f Frame, delay sim.Dur) {
 	if len(k.stage) == 0 {
 		k.deferFn(k.src, k.dst, k.flushFn)
 	}
-	k.stage = append(k.stage, pending{f: f, due: k.srcLoop.Now().Add(delay), tdn: tdn})
+	k.stage = append(k.stage, pending{f: f, due: k.srcLoop.Now().Add(delay)})
 	k.armed++
 }
 
-// flush moves the staged frames into the destination ring, keeping it
-// due-ordered (stable: equal dues keep arrival order, and staged dues are
-// nondecreasing, so the backward scan is almost always a no-op), then arms
-// the destination timer at the head due. Runs on the coordinator at a
-// barrier.
+// flush moves the staged frames into the destination delay line and arms
+// its timer once for the whole batch. Runs on the coordinator at a barrier.
 func (k *Dock) flush() {
 	for _, p := range k.stage {
-		k.ring = append(k.ring, p)
-		for i := len(k.ring) - 1; i > k.head && k.ring[i-1].due > p.due; i-- {
-			k.ring[i], k.ring[i-1] = k.ring[i-1], k.ring[i]
-		}
+		k.line.insert(p.f, p.due)
 	}
 	k.stage = k.stage[:0]
-	headDue := k.ring[k.head].due
-	if k.timer.Active() {
-		if k.timer.When() <= headDue {
-			return
-		}
-		k.timer.Stop()
-	}
-	k.timer = k.dstLoop.At(headDue, k.fireFn)
+	k.line.arm()
 }
 
-// fire delivers every frame whose due has arrived, exactly like the
-// delayLine: copied out first (so synchronous downstream sends cannot alias
-// the ring), split into maximal same-TDN runs for OutBatch. Destination
+// deliver hands every frame whose due has arrived to the sink. Destination
 // lane only.
 //
-//lint:hotpath runs once per distinct cross-shard delivery instant
-func (k *Dock) fire() {
-	now := k.dstLoop.Now()
-	out := k.out[:0]
-	for k.head < len(k.ring) && k.ring[k.head].due <= now {
-		out = append(out, k.ring[k.head])
-		k.head++
-	}
-	if k.head*2 >= len(k.ring) {
-		k.ring = k.ring[:copy(k.ring, k.ring[k.head:])]
-		k.head = 0
-	}
-	if k.head < len(k.ring) {
-		k.timer = k.dstLoop.At(k.ring[k.head].due, k.fireFn)
-	}
-	k.out = out
-	k.delivered += uint64(len(out))
-	for i := 0; i < len(out); {
-		j := i + 1
-		for j < len(out) && out[j].tdn == out[i].tdn {
-			j++
-		}
-		if k.OutBatch != nil {
-			fs := k.scr[:0]
-			for m := i; m < j; m++ {
-				fs = append(fs, out[m].f)
-			}
-			k.scr = fs
-			k.OutBatch(fs, out[i].tdn)
-		} else {
-			for m := i; m < j; m++ {
-				k.Out(out[m].f)
-			}
-		}
-		i = j
+//lint:hotpath runs once per distinct cross-lane delivery instant
+func (k *Dock) deliver(batch []pending) {
+	k.delivered += uint64(len(batch))
+	for i := range batch {
+		k.out(batch[i].f)
 	}
 }
 
 // InFlight reports the number of frames the dock currently owns (staged,
-// ringed, or awaiting their due). Barrier-only: it reads both lanes'
-// counters.
+// in the delay line, or awaiting their due). Barrier-only: it reads both
+// lanes' counters.
 func (k *Dock) InFlight() int { return int(k.armed - k.delivered) }
 
 // Stats reports the conservation ledger: frames staged by the source lane

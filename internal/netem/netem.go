@@ -30,10 +30,6 @@ type Frame struct {
 // LIFO slice owned by the single-threaded event loop recycles buffers in a
 // schedule determined entirely by the event order, so two runs with the same
 // seed recycle identically.
-//
-// A nil *BufPool is valid and degrades to plain allocation, so pooling can
-// be switched off wholesale (e.g. for golden-trace A/B tests) without
-// branching at every call site.
 type BufPool struct {
 	free  [][]byte
 	block []byte // carve-out backing for fresh buffers, bufClass at a time
@@ -50,15 +46,12 @@ type BufPool struct {
 const bufClass = 128
 
 // Get returns a zero-length buffer with capacity at least capHint, reusing a
-// recycled buffer when one fits. On a nil pool it simply allocates.
+// recycled buffer when one fits.
 //
 //lint:hotpath runs once per serialized frame
 func (p *BufPool) Get(capHint int) []byte {
 	if capHint < bufClass {
 		capHint = bufClass
-	}
-	if p == nil {
-		return allocBuf(capHint)
 	}
 	p.gets++
 	for n := len(p.free); n > 0; n = len(p.free) {
@@ -96,21 +89,21 @@ func (p *BufPool) refillBlock() {
 	p.block = make([]byte, 64*bufClass)
 }
 
-// allocBuf is the pool-miss fallback for nil pools and oversized requests
-// (jumbo option stacks past bufClass, rare). Out-of-line for the same
-// reason as refillBlock.
+// allocBuf is the pool-miss fallback for oversized requests (jumbo option
+// stacks past bufClass, rare). Out-of-line for the same reason as
+// refillBlock.
 //
 //go:noinline
 func allocBuf(capHint int) []byte {
 	return make([]byte, 0, capHint)
 }
 
-// Put recycles a buffer for a later Get. Nil pools and zero-capacity buffers
-// are ignored, so Put is safe to call unconditionally on any frame's wire.
+// Put recycles a buffer for a later Get. Zero-capacity buffers are ignored,
+// so Put is safe to call unconditionally on any frame's wire.
 //
 //lint:hotpath runs once per released frame
 func (p *BufPool) Put(b []byte) {
-	if p == nil || cap(b) == 0 {
+	if cap(b) == 0 {
 		return
 	}
 	p.puts++
@@ -119,14 +112,11 @@ func (p *BufPool) Put(b []byte) {
 
 // Stats reports cumulative gets, puts and misses (Gets that had to allocate).
 func (p *BufPool) Stats() (gets, puts, misses uint64) {
-	if p == nil {
-		return 0, 0, 0
-	}
 	return p.gets, p.puts, p.misses
 }
 
 // NewFrameIn serializes seg into a frame stamped at the current time, drawing
-// the wire buffer from pool (which may be nil for plain allocation).
+// the wire buffer from pool.
 func NewFrameIn(loop *sim.Loop, pool *BufPool, seg *packet.Segment) Frame {
 	return Frame{
 		Wire:   seg.Serialize(pool.Get(seg.HeaderLen())),
@@ -135,14 +125,8 @@ func NewFrameIn(loop *sim.Loop, pool *BufPool, seg *packet.Segment) Frame {
 	}
 }
 
-// NewFrame serializes seg into a freshly allocated frame stamped at the
-// current time.
-func NewFrame(loop *sim.Loop, seg *packet.Segment) Frame {
-	return NewFrameIn(loop, nil, seg)
-}
-
 // Release returns the frame's wire buffer to pool and clears the alias so a
-// stale Frame copy cannot touch the recycled bytes. Nil-pool safe.
+// stale Frame copy cannot touch the recycled bytes.
 //
 //lint:hotpath runs once per consumed frame
 func (f *Frame) Release(pool *BufPool) {
@@ -180,18 +164,15 @@ type Sink func(Frame)
 type pending struct {
 	f   Frame
 	due sim.Time
-	tdn int
 }
 
-// delayLine coalesces a link's propagation-delay stage. The legacy path arms
-// one loop event per frame in flight, so the event heap holds an entry for
-// every frame crossing the fabric; the delayLine instead keeps a due-ordered
-// ring served by a single re-armed timer, shrinking the heap to one entry per
-// link and handing every frame whose delay expires at the same instant
-// downstream in one batch. Entries stay in (due, insertion) order: dues are
-// nondecreasing while one path is active and only invert across a path change
-// or an injected extra delay, so the backward scan in add is almost always a
-// no-op and delivery order matches the legacy frame-at-a-time schedule.
+// delayLine coalesces a link's propagation-delay stage: a due-ordered ring
+// served by a single re-armed timer, so the event heap holds one entry per
+// link instead of one per frame in flight, and every frame whose delay
+// expires at the same instant goes downstream in one sink call. Entries stay
+// in (due, insertion) order: dues are nondecreasing while one path is active
+// and only invert across a path change or an injected extra delay, so the
+// backward scan in insert is almost always a no-op.
 type delayLine struct {
 	loop *sim.Loop
 	sink func(batch []pending)
@@ -209,19 +190,31 @@ func (dl *delayLine) init(loop *sim.Loop, sink func([]pending)) {
 	dl.fireFn = dl.fire
 }
 
-func (dl *delayLine) len() int { return len(dl.q) - dl.head }
-
-// add inserts a frame due delay from now, keeping the ring due-ordered
-// (stable: equal dues keep insertion order) and the timer armed at the head
-// due. The timer is only re-armed when the head due moves earlier.
+// add inserts a frame due delay from now and arms the timer.
 //
 //lint:hotpath runs once per frame entering the propagation-delay stage
-func (dl *delayLine) add(f Frame, delay sim.Dur, tdn int) {
-	due := dl.loop.Now().Add(delay)
-	dl.q = append(dl.q, pending{f: f, due: due, tdn: tdn})
+func (dl *delayLine) add(f Frame, delay sim.Dur) {
+	dl.insert(f, dl.loop.Now().Add(delay))
+	dl.arm()
+}
+
+// insert places a frame due at due into the ring, keeping it due-ordered
+// (stable: equal dues keep insertion order). The caller arms the timer once
+// its inserts are done.
+//
+//lint:hotpath runs once per frame entering the propagation-delay stage
+func (dl *delayLine) insert(f Frame, due sim.Time) {
+	dl.q = append(dl.q, pending{f: f, due: due})
 	for i := len(dl.q) - 1; i > dl.head && dl.q[i-1].due > due; i-- {
 		dl.q[i], dl.q[i-1] = dl.q[i-1], dl.q[i]
 	}
+}
+
+// arm points the timer at the head due, re-arming only when the head due
+// moved earlier than the armed instant.
+//
+//lint:hotpath runs once per insert batch
+func (dl *delayLine) arm() {
 	headDue := dl.q[dl.head].due
 	if dl.timer.Active() {
 		if dl.timer.When() <= headDue {
@@ -253,7 +246,7 @@ func (dl *delayLine) fire() {
 		dl.timer = dl.loop.At(dl.q[dl.head].due, dl.fireFn)
 	}
 	// Drained ring slots and the scratch batch are NOT zeroed: the stale
-	// Frame references they hold are dead weight until the next add/fire
+	// Frame references they hold are dead weight until the next insert/fire
 	// overwrites them (bounded by the ring capacity), and skipping the
 	// clears keeps GC write barriers out of the per-instant path.
 	dl.out = out
@@ -285,8 +278,9 @@ func CorruptWire(b []byte) {
 
 // Pipe is a serializing link with an unbounded FIFO: the host NIC and its
 // qdisc. Frames are serialized one at a time at Rate, then delivered to the
-// sink Delay later. Pipe is never the statistics bottleneck in the paper's
-// topology (hosts have fabric-rate NICs) but it shapes bursts realistically.
+// sink Delay later through a delayLine. Pipe is never the statistics
+// bottleneck in the paper's topology (hosts have fabric-rate NICs) but it
+// shapes bursts realistically.
 type Pipe struct {
 	Loop  *sim.Loop
 	Rate  sim.Rate
@@ -298,14 +292,9 @@ type Pipe struct {
 	// frame (internal/fault installs this hook).
 	Fault func(Frame) FrameFate
 
-	// Pool, when non-nil, receives the wire buffers of frames the Fault
-	// hook drops — the only point where a frame dies inside the pipe.
+	// Pool receives the wire buffers of frames the Fault hook drops — the
+	// only point where a frame dies inside the pipe.
 	Pool *BufPool
-
-	// Coalesce routes the propagation-delay stage through a single re-armed
-	// timer (see delayLine) instead of one loop event per frame. rdcn turns
-	// this on unless Config.DisableBatchDelivery asks for the legacy path.
-	Coalesce bool
 
 	q    []Frame
 	head int
@@ -314,22 +303,13 @@ type Pipe struct {
 	// Serialization is a one-at-a-time state machine: cur is the frame on
 	// the wire, serializedFn the single bound callback that finishes it.
 	// Propagation overlaps (several frames can be in the Delay stage at
-	// once), so deliveries ride inflight cells from a free list, each with
-	// its own callback bound exactly once.
+	// once) inside the delayLine.
 	cur          Frame
 	serializedFn func()
-	deliveryFree []*pipeDelivery
 	line         delayLine
 
 	propagating int    // frames in the propagation-delay stage
 	faultDrops  uint64 // frames killed by the Fault hook
-}
-
-// pipeDelivery carries one frame through the propagation-delay stage.
-type pipeDelivery struct {
-	p  *Pipe
-	f  Frame
-	fn func()
 }
 
 // Send enqueues a frame for transmission.
@@ -362,9 +342,9 @@ func (p *Pipe) kick() {
 }
 
 // serialized finishes the frame currently on the wire: it consults the fault
-// hook, schedules the propagation-delay delivery, and starts the next frame.
-// Delivery is scheduled before the next kick so event order (and therefore
-// the trace) matches a frame-at-a-time reading of the pipeline.
+// hook, hands the frame to the propagation-delay stage, and starts the next
+// frame. Delivery is scheduled before the next kick so event order (and
+// therefore the trace) matches a frame-at-a-time reading of the pipeline.
 func (p *Pipe) serialized() {
 	f := p.cur
 	p.cur = Frame{}
@@ -384,22 +364,16 @@ func (p *Pipe) serialized() {
 		f.Release(p.Pool)
 	} else {
 		p.propagating++
-		if p.Coalesce {
-			if p.line.fireFn == nil {
-				p.line.init(p.Loop, p.lineSink)
-			}
-			p.line.add(f, delay, 0)
-		} else {
-			d := p.getDelivery()
-			d.f = f
-			p.Loop.After(delay, d.fn)
+		if p.line.fireFn == nil {
+			p.line.init(p.Loop, p.lineSink)
 		}
+		p.line.add(f, delay)
 	}
 	p.kick()
 }
 
-// lineSink delivers a coalesced batch of frames whose propagation delay
-// expired at one instant, in due order.
+// lineSink delivers the frames whose propagation delay expired at one
+// instant, in due order.
 func (p *Pipe) lineSink(batch []pending) {
 	for i := range batch {
 		p.propagating--
@@ -419,31 +393,6 @@ func (p *Pipe) InFlight() int {
 
 // FaultDrops reports the cumulative number of frames the Fault hook killed.
 func (p *Pipe) FaultDrops() uint64 { return p.faultDrops }
-
-func (p *Pipe) getDelivery() *pipeDelivery {
-	if n := len(p.deliveryFree); n > 0 {
-		d := p.deliveryFree[n-1]
-		p.deliveryFree[n-1] = nil
-		p.deliveryFree = p.deliveryFree[:n-1]
-		return d
-	}
-	d := &pipeDelivery{p: p}
-	d.fn = d.fire
-	return d
-}
-
-// fire delivers the frame after its propagation delay and recycles the
-// delivery cell.
-//
-//lint:hotpath runs once per delivered frame
-func (d *pipeDelivery) fire() {
-	p := d.p
-	f := d.f
-	d.f = Frame{}
-	p.propagating--
-	p.deliveryFree = append(p.deliveryFree, d)
-	p.Out(f)
-}
 
 // VOQ is a ToR virtual output queue: drop-tail, fixed capacity in packets,
 // optional ECN marking at a threshold (DCTCP-style), and runtime resizing
@@ -607,7 +556,6 @@ func (v *VOQ) CheckInvariants() error {
 type Path struct {
 	Rate  sim.Rate
 	Delay sim.Dur
-	TDN   int
 }
 
 // PathFunc reports the currently active path. ok is false during a night
@@ -616,54 +564,26 @@ type PathFunc func() (p Path, ok bool)
 
 // Drainer serializes frames from a VOQ onto the currently active path. It is
 // the ToR's uplink transmitter: one frame at a time, at the active TDN's
-// rate, delivered to the sink after the TDN's propagation delay. When the
+// rate, handed to its Dock with the TDN's propagation delay. When the
 // schedule blacks out the path the drainer idles until Kick is called.
 type Drainer struct {
 	Loop *sim.Loop
 	Q    *VOQ
 	Path PathFunc
-	Out  Sink
 
-	// OutBatch, when non-nil and Coalesce is set, receives every frame whose
-	// propagation delay expired at the same instant and that crossed the
-	// same TDN, in delivery order, in one call — the batched alternative to
-	// the per-frame Out sink. Frames are grouped into maximal consecutive
-	// same-TDN runs, so a batch never mixes networks and never reorders
-	// relative to the frame-at-a-time schedule.
-	OutBatch func(fs []Frame, tdn int)
-
-	// Coalesce routes the propagation-delay stage through a single re-armed
-	// timer (see delayLine) instead of one loop event per frame.
-	Coalesce bool
-
-	// Dock, when non-nil, replaces the propagation-delay stage entirely:
-	// the destination ToR lives on a different simulation lane (sharded
-	// engine), so finished frames are staged in the cross-shard dock
-	// instead of a same-loop timer. The dock carries the in-flight ledger
-	// for this stage (see Dock.InFlight).
+	// Dock is the propagation-delay stage: every uplink crosses to another
+	// rack, whose ToR lives on its own simulation lane, so finished frames
+	// are staged in the cross-lane dock. The dock carries the in-flight
+	// ledger for this stage (see Dock.InFlight).
 	Dock *Dock
 
 	busy bool
 
 	// Same state-machine shape as Pipe: one frame serializes at a time
-	// (cur, curDelay, one bound serializedFn), while propagation-delay
-	// deliveries overlap on free-listed cells (legacy) or in the delayLine.
+	// (cur, curDelay, one bound serializedFn).
 	cur          Frame
 	curDelay     sim.Dur
-	curTDN       int
 	serializedFn func()
-	deliveryFree []*drainDelivery
-	line         delayLine
-	batchScratch []Frame
-
-	propagating int // frames in the propagation-delay stage
-}
-
-// drainDelivery carries one frame through the propagation-delay stage.
-type drainDelivery struct {
-	d  *Drainer
-	f  Frame
-	fn func()
 }
 
 // Attach wires the drainer to its queue's enqueue notification and starts
@@ -690,104 +610,32 @@ func (d *Drainer) Kick() {
 	d.busy = true
 	d.cur = f
 	d.curDelay = path.Delay
-	d.curTDN = path.TDN
 	if d.serializedFn == nil {
 		d.serializedFn = d.serialized
 	}
 	d.Loop.After(path.Rate.TransmitTime(f.Len), d.serializedFn)
 }
 
-// serialized finishes the frame on the wire: delivery is scheduled before
-// the next Kick so event order matches a frame-at-a-time reading.
+// serialized finishes the frame on the wire: the dock takes it (and its
+// ledger entry) before the next Kick, so event order matches a
+// frame-at-a-time reading.
 func (d *Drainer) serialized() {
 	f := d.cur
 	d.cur = Frame{}
 	d.busy = false
-	if d.Dock != nil {
-		// Cross-shard: the dock owns the frame (and its ledger) from here.
-		d.Dock.Add(f, d.curDelay, d.curTDN)
-		d.Kick()
-		return
-	}
-	d.propagating++
-	if d.Coalesce {
-		if d.line.fireFn == nil {
-			d.line.init(d.Loop, d.lineSink)
-		}
-		d.line.add(f, d.curDelay, d.curTDN)
-	} else {
-		dd := d.getDelivery()
-		dd.f = f
-		d.Loop.After(d.curDelay, dd.fn)
-	}
+	d.Dock.Add(f, d.curDelay)
 	d.Kick()
 }
 
-// lineSink hands a coalesced delivery batch downstream: maximal consecutive
-// same-TDN runs go to OutBatch in one call each (runs are never merged across
-// an intervening frame, so due order is preserved exactly), or frame-by-frame
-// to Out when no batch sink is wired.
-func (d *Drainer) lineSink(batch []pending) {
-	for i := 0; i < len(batch); {
-		j := i + 1
-		for j < len(batch) && batch[j].tdn == batch[i].tdn {
-			j++
-		}
-		d.propagating -= j - i
-		if d.OutBatch != nil {
-			fs := d.batchScratch[:0]
-			for k := i; k < j; k++ {
-				fs = append(fs, batch[k].f)
-			}
-			d.batchScratch = fs
-			d.OutBatch(fs, batch[i].tdn)
-		} else {
-			for k := i; k < j; k++ {
-				d.Out(batch[k].f)
-			}
-		}
-		i = j
-	}
-}
-
 // InFlight reports every frame currently owned by the drainer: being
-// serialized or in the propagation-delay stage (queued frames belong to the
-// VOQ). With a cross-shard dock attached, the propagation stage's ledger
-// lives in the dock; call only at barriers then.
+// serialized or in the dock's propagation-delay stage (queued frames belong
+// to the VOQ). The dock's ledger spans two lanes; call only at barriers.
 func (d *Drainer) InFlight() int {
-	n := d.propagating
-	if d.Dock != nil {
-		n += d.Dock.InFlight()
-	}
+	n := d.Dock.InFlight()
 	if d.busy {
 		n++
 	}
 	return n
-}
-
-func (d *Drainer) getDelivery() *drainDelivery {
-	if n := len(d.deliveryFree); n > 0 {
-		dd := d.deliveryFree[n-1]
-		d.deliveryFree[n-1] = nil
-		d.deliveryFree = d.deliveryFree[:n-1]
-		return dd
-	}
-	dd := &drainDelivery{d: d}
-	dd.fn = dd.fire
-	return dd
-}
-
-// fire delivers the frame at the end of serialization and recycles the
-// delivery cell.
-//
-//lint:hotpath runs once per drained frame
-func (dd *drainDelivery) fire() {
-	d := dd.d
-	f := dd.f
-	dd.f = Frame{}
-	d.propagating--
-	d.deliveryFree = append(d.deliveryFree, dd)
-	d.Out(f)
 }
 
 // Busy reports whether a frame is currently being serialized.

@@ -8,12 +8,24 @@ import (
 	"github.com/rdcn-net/tdtcp/internal/sim"
 )
 
+// newFrame serializes seg into a frame drawn from a fresh pool.
+func newFrame(loop *sim.Loop, seg *packet.Segment) Frame {
+	return NewFrameIn(loop, &BufPool{}, seg)
+}
+
+// loopDock is a dock whose source and destination are the same loop: the
+// flush runs as a loop event at the staging instant instead of at an engine
+// barrier, which is all a single-loop drainer test needs.
+func loopDock(loop *sim.Loop, out Sink) *Dock {
+	return NewDock(0, 1, loop, loop, func(_, _ int, fn func()) { loop.At(loop.Now(), fn) }, out)
+}
+
 func testFrame(loop *sim.Loop, payload int) Frame {
 	seg := &packet.Segment{
 		Src: 1, Dst: 2, TTL: 64, Proto: packet.ProtoTCP,
 		TCP: packet.TCPHeader{Flags: packet.FlagACK, PayloadLen: payload},
 	}
-	return NewFrame(loop, seg)
+	return newFrame(loop, seg)
 }
 
 func TestPipeSerialization(t *testing.T) {
@@ -53,7 +65,7 @@ func TestPipeFIFO(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		seg := &packet.Segment{Src: 1, Dst: 2, Proto: packet.ProtoTCP,
 			TCP: packet.TCPHeader{Seq: uint32(i), Flags: packet.FlagACK}}
-		p.Send(NewFrame(loop, seg))
+		p.Send(newFrame(loop, seg))
 	}
 	loop.Run()
 	for i, v := range got {
@@ -122,7 +134,7 @@ func TestMarkCCEChecksumProperty(t *testing.T) {
 		seg := &packet.Segment{Src: src, Dst: dst, TTL: 64, Proto: packet.ProtoTCP,
 			ECN: ecn & 0x03,
 			TCP: packet.TCPHeader{Seq: seq, Flags: packet.FlagACK}}
-		fr := NewFrame(loop, seg)
+		fr := newFrame(loop, seg)
 		fr.MarkCE()
 		var got packet.Segment
 		if err := packet.Parse(fr.Wire, &got); err != nil {
@@ -217,9 +229,9 @@ func TestDrainerRespectsSchedule(t *testing.T) {
 	d := &Drainer{
 		Loop: loop, Q: v,
 		Path: func() (Path, bool) {
-			return Path{Rate: 10 * sim.Gbps, Delay: 10 * sim.Microsecond, TDN: 0}, active
+			return Path{Rate: 10 * sim.Gbps, Delay: 10 * sim.Microsecond}, active
 		},
-		Out: func(Frame) { arrivals = append(arrivals, loop.Now()) },
+		Dock: loopDock(loop, func(Frame) { arrivals = append(arrivals, loop.Now()) }),
 	}
 	d.Attach()
 	v.Enqueue(testFrame(loop, 1250-40)) // 1us serialization
@@ -248,7 +260,7 @@ func TestDrainerRateSwitch(t *testing.T) {
 	d := &Drainer{
 		Loop: loop, Q: v,
 		Path: func() (Path, bool) { return Path{Rate: rate, Delay: 0}, true },
-		Out:  func(Frame) { arrivals = append(arrivals, loop.Now()) },
+		Dock: loopDock(loop, func(Frame) { arrivals = append(arrivals, loop.Now()) }),
 	}
 	d.Attach()
 	f := testFrame(loop, 12500-40) // 10us at 10Gbps, 1us at 100Gbps
@@ -282,17 +294,17 @@ func TestDrainerDeliversInOrderAcrossDelayDrop(t *testing.T) {
 	d := &Drainer{
 		Loop: loop, Q: v,
 		Path: func() (Path, bool) { return Path{Rate: 100 * sim.Gbps, Delay: delay}, true },
-		Out: func(f Frame) {
+		Dock: loopDock(loop, func(f Frame) {
 			var s packet.Segment
 			if err := packet.Parse(f.Wire, &s); err != nil {
 				t.Fatal(err)
 			}
 			arrivals = append(arrivals, arrival{s.TCP.Seq, loop.Now()})
-		},
+		}),
 	}
 	d.Attach()
 	mk := func(seq uint32) Frame {
-		return NewFrame(loop, &packet.Segment{Src: 1, Dst: 2, Proto: packet.ProtoTCP,
+		return newFrame(loop, &packet.Segment{Src: 1, Dst: 2, Proto: packet.ProtoTCP,
 			TCP: packet.TCPHeader{Seq: seq, Flags: packet.FlagACK, PayloadLen: 100}})
 	}
 	v.Enqueue(mk(1))

@@ -13,7 +13,7 @@ import (
 // set: at every probe instant of a rotor week, every drainer KickAll does not
 // kick must report its path not-ok, so kicking it would have been a no-op.
 // Schedule drift and circuit flaps shift or darken the data plane's view, and
-// both the classic and the sharded wiring are covered.
+// both are covered.
 func TestKickAllSkipsOnlyBlockedDrainers(t *testing.T) {
 	drift := func(now sim.Time) sim.Dur {
 		if now/sim.Time(us(500))%2 == 0 {
@@ -38,62 +38,53 @@ func TestKickAllSkipsOnlyBlockedDrainers(t *testing.T) {
 		{racks: 8, ok: flap},
 	}
 	for _, tc := range cases {
-		for _, sharded := range []bool{false, true} {
-			name := fmt.Sprintf("racks=%d/pinned=%v/drift=%v/flap=%v/sharded=%v",
-				tc.racks, tc.pinned, tc.offset != nil, tc.ok != nil, sharded)
-			t.Run(name, func(t *testing.T) {
-				cfg := DefaultConfig()
-				cfg.Racks = tc.racks
-				cfg.HostsPerRack = 1
-				cfg.Schedule = RotorWeek(tc.racks, 6, us(180), us(20))
-				cfg.TDNs = RotorTDNs(tc.racks, cfg.TDNs[0], cfg.TDNs[1])
-				cfg.PinnedVOQs = tc.pinned
-				cfg.ScheduleOffset = tc.offset
-				cfg.CircuitOK = tc.ok
-				loop := sim.NewLoop(1)
-				advance := loop.RunUntil
-				if sharded {
-					eng := sim.NewSharded(1, tc.racks, 1)
-					cfg.Cluster = eng
-					loop, advance = eng.Control(), eng.RunUntil
+		name := fmt.Sprintf("racks=%d/pinned=%v/drift=%v/flap=%v",
+			tc.racks, tc.pinned, tc.offset != nil, tc.ok != nil)
+		t.Run(name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Racks = tc.racks
+			cfg.HostsPerRack = 1
+			cfg.Schedule = RotorWeek(tc.racks, 6, us(180), us(20))
+			cfg.TDNs = RotorTDNs(tc.racks, cfg.TDNs[0], cfg.TDNs[1])
+			cfg.PinnedVOQs = tc.pinned
+			cfg.ScheduleOffset = tc.offset
+			cfg.CircuitOK = tc.ok
+			n, err := New(cfg, 1, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kicked := map[*netem.Drainer]bool{}
+			paths := map[*netem.Drainer]netem.PathFunc{}
+			for _, rack := range n.Racks {
+				for _, d := range rack.drainers {
+					d, p := d, d.Path
+					paths[d] = p
+					d.Path = func() (netem.Path, bool) { kicked[d] = true; return p() }
 				}
-				n, err := New(loop, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				kicked := map[*netem.Drainer]bool{}
-				paths := map[*netem.Drainer]netem.PathFunc{}
+			}
+			skips, opens := 0, 0
+			for _, at := range kickProbes(cfg.Schedule) {
+				n.Engine.RunUntil(at)
+				clear(kicked)
+				n.KickAll()
 				for _, rack := range n.Racks {
-					for _, d := range rack.drainers {
-						d, p := d, d.Path
-						paths[d] = p
-						d.Path = func() (netem.Path, bool) { kicked[d] = true; return p() }
-					}
-				}
-				skips, opens := 0, 0
-				for _, at := range kickProbes(cfg.Schedule) {
-					advance(at)
-					clear(kicked)
-					n.KickAll()
-					for _, rack := range n.Racks {
-						for q, d := range rack.drainers {
-							_, ok := paths[d]()
-							switch {
-							case kicked[d] && ok:
-								opens++
-							case !kicked[d] && ok:
-								t.Fatalf("t=%v: KickAll skipped rack %d VOQ %d, whose path is open", at, rack.ID, q)
-							case !kicked[d]:
-								skips++
-							}
+					for q, d := range rack.drainers {
+						_, ok := paths[d]()
+						switch {
+						case kicked[d] && ok:
+							opens++
+						case !kicked[d] && ok:
+							t.Fatalf("t=%v: KickAll skipped rack %d VOQ %d, whose path is open", at, rack.ID, q)
+						case !kicked[d]:
+							skips++
 						}
 					}
 				}
-				if skips == 0 || opens == 0 {
-					t.Fatalf("vacuous sweep: %d skipped and %d open kicks", skips, opens)
-				}
-			})
-		}
+			}
+			if skips == 0 || opens == 0 {
+				t.Fatalf("vacuous sweep: %d skipped and %d open kicks", skips, opens)
+			}
+		})
 	}
 }
 

@@ -88,32 +88,6 @@ type Config struct {
 	Notify       NotifyProfile
 	PreChange    *PreChange // optional retcpdyn switch support
 
-	// Cluster, when non-nil, places the network on the sharded engine: rack
-	// r's entire data plane (host NIC pipe, VOQs, drainers, delivery) lives
-	// on Cluster.RackLoop(r), cross-rack propagation travels through
-	// per-(src,dst) docks applied at engine barriers, and the control plane
-	// runs on Cluster.Control() — which must be the loop passed to New. The
-	// engine's tracer (ShardedLoop.SetTracer) must be attached before
-	// Network.SetTracer so per-rack forks exist. nil keeps the classic
-	// single-loop wiring, byte for byte.
-	Cluster *sim.ShardedLoop
-
-	// DisableFramePool turns off wire-buffer recycling, making every frame
-	// a fresh allocation. The pooled and unpooled data planes must produce
-	// byte-identical traces (the golden-trace test enforces this); the knob
-	// exists for that A/B check and for debugging suspected aliasing.
-	DisableFramePool bool
-
-	// DisableBatchDelivery reverts the fabric to the legacy frame-at-a-time
-	// delivery path: one loop event per frame in the propagation-delay
-	// stage and one Recv upcall per frame. The default (batched) path
-	// coalesces each link's delay stage behind a single re-armed timer and
-	// hands same-instant same-(host,TDN) frames to RecvBatch in one call.
-	// Both paths must produce identical protocol-visible traces (the
-	// batch-delivery A/B tests enforce this); the knob exists for that
-	// check and for debugging suspected ordering drift.
-	DisableBatchDelivery bool
-
 	// PinnedVOQs gives each rack one VOQ per TDN, each draining only
 	// during its own TDN's days. This models MPTCP subflow pinning: a
 	// subflow's packets wait at the ToR until their network is active.
@@ -169,15 +143,10 @@ type Host struct {
 	ID   int
 	Addr uint32
 
-	// Recv receives every data/ACK frame addressed to this host.
+	// Recv receives every data/ACK frame addressed to this host. The wire
+	// buffer is reclaimed when Recv returns, so hooks must parse (Parse
+	// copies) rather than retain.
 	Recv func(netem.Frame)
-	// RecvBatch, when non-nil, receives every frame addressed to this host
-	// whose fabric propagation delay expired at the same simulated instant
-	// over the same TDN, in delivery order, in one call. Hosts without a
-	// batch hook get the same frames as one Recv call each. The wire
-	// buffers are reclaimed when RecvBatch returns, so hooks must parse
-	// (Parse copies) rather than retain.
-	RecvBatch func(fs []netem.Frame, tdn int)
 	// NotifyTDN receives the parsed ICMP TDN-change notification.
 	NotifyTDN func(tdn int, epoch uint32)
 	// NotifyPreChange, if set, receives the retcpdyn advance circuit-up
@@ -209,33 +178,28 @@ func (r *Rack) Uplink() *netem.Pipe { return r.uplink }
 // Rack is a ToR switch plus its attached hosts. Each rack has one VOQ per
 // destination rack (or one per TDN with PinnedVOQs on a two-rack network).
 //
-// Everything below the hosts is owned by the rack's home lane: with a
-// Cluster the loop is the rack's ShardedLoop lane, the tracer is the lane's
-// fork, and the pool / ledger / notification scratch are touched only by
-// that lane (or by the control plane at barriers, with workers parked).
-// Without a Cluster every rack shares Network.Loop and the wiring is the
-// classic single-loop one.
+// Everything below the hosts is owned by the rack's home lane: the loop is
+// the rack's ShardedLoop lane, the tracer is the lane's fork, and the pool /
+// ledger / notification scratch are touched only by that lane (or by the
+// control plane at barriers, with workers parked).
 type Rack struct {
 	net   *Network
 	ID    int
 	Hosts []*Host
 
-	loop     *sim.Loop     // the rack's home lane (Network.Loop when unsharded)
-	tracer   *trace.Tracer // the rack's trace sink (lane fork under Cluster)
+	loop     *sim.Loop     // the rack's home lane
+	tracer   *trace.Tracer // the rack's trace sink (the lane's tracer fork)
 	uplink   *netem.Pipe   // shared host-side ingress NIC
 	voqs     []*netem.VOQ
 	drainers []*netem.Drainer
 
-	// pool recycles wire buffers for frames this rack's hosts send. Without
-	// a Cluster every rack aliases one shared network-wide pool, so releases
-	// anywhere restock sends anywhere. Under a Cluster each lane owns its own
-	// pool, and a frame consumed on another rack's lane has its buffer
-	// repatriated at the next barrier (returnWire/flushReturns) — released
-	// straight into the destination pool, the source pool would never see a
-	// put again and both pools would allocate forever. Buffer identity is
-	// trace-invisible (the pooled/unpooled golden A/B proves it), so the
-	// barrier-delayed exchange cannot change results. Nil when
-	// Config.DisableFramePool.
+	// pool recycles wire buffers for frames this rack's hosts send. Each
+	// lane owns its own pool, and a frame consumed on another rack's lane
+	// has its buffer repatriated at the next barrier (returnWire/
+	// flushReturns) — released straight into the destination pool, the
+	// source pool would never see a put again and both pools would allocate
+	// forever. Buffer identity is trace-invisible, so the barrier-delayed
+	// exchange cannot change results.
 	pool *netem.BufPool
 
 	// Barrier-return staging for foreign wire buffers: retBufs[src] holds
@@ -264,8 +228,7 @@ type Rack struct {
 func (r *Rack) Loop() *sim.Loop { return r.loop }
 
 // Tracer returns the rack's trace sink: the lane's fork of the shared
-// tracer under a Cluster, the shared tracer itself otherwise (nil when
-// tracing is off).
+// tracer (nil when tracing is off).
 func (r *Rack) Tracer() *trace.Tracer { return r.tracer }
 
 // FrameLedger reports this rack's slice of the conservation ledger: frames
@@ -306,8 +269,14 @@ func (r *Rack) QueueLen() int {
 	return n
 }
 
-// Network is the assembled N-rack hybrid RDCN.
+// Network is the assembled N-rack hybrid RDCN, running on its own sharded
+// engine: one lane per rack plus the control lane.
 type Network struct {
+	// Engine executes the network: drive it with Engine.RunUntil. Rack r's
+	// data plane lives on Engine.RackLoop(r).
+	Engine *sim.ShardedLoop
+	// Loop is the engine's control lane, where the control plane (schedule
+	// transitions, VOQ resizing, notification fan-out) runs.
 	Loop    *sim.Loop
 	Cfg     Config
 	Racks   []*Rack
@@ -345,17 +314,17 @@ type Network struct {
 	transitionFn func()
 }
 
-// SetTracer attaches a tracer to the network's control plane (CatRDCN
+// SetTracer attaches a tracer to the engine (the control lane, plus a
+// private fork per rack lane), to the network's control plane (CatRDCN
 // events: day/night transitions, notification fan-out, VOQ recapping) and to
-// every rack VOQ (CatVOQ events, labeled "r<rack>q<idx>"; pinned VOQs are
-// additionally tagged with their TDN). Pass nil to detach.
+// every rack VOQ through its lane's fork (CatVOQ events, labeled
+// "r<rack>q<idx>"; pinned VOQs are additionally tagged with their TDN). Call
+// once, before the run starts; nil disables tracing.
 func (n *Network) SetTracer(t *trace.Tracer) {
+	n.Engine.SetTracer(t)
 	n.tracer = t
 	for _, rack := range n.Racks {
-		rt := t
-		if c := n.Cfg.Cluster; c != nil && t != nil {
-			rt = c.RackTracer(rack.ID)
-		}
+		rt := n.Engine.RackTracer(rack.ID)
 		rack.tracer = rt
 		for k, v := range rack.voqs {
 			v.Tracer = rt
@@ -381,8 +350,11 @@ func HostAddr(rack, id int) uint32 {
 	return 0x0A<<24 | uint32(rack&0xFF)<<16 | uint32(id&0xFFFF)
 }
 
-// New assembles a network from cfg.
-func New(loop *sim.Loop, cfg Config) (*Network, error) {
+// New assembles a network from cfg on a sharded engine of its own: one lane
+// per rack plus the control lane, seeded from seed (see sim.NewSharded) and
+// executed by workers OS workers. The worker count is unobservable: traces
+// and results are byte-identical for every value.
+func New(cfg Config, seed int64, workers int) (*Network, error) {
 	if cfg.Racks == 0 {
 		cfg.Racks = 2
 	}
@@ -409,27 +381,19 @@ func New(loop *sim.Loop, cfg Config) (*Network, error) {
 			return nil, err
 		}
 	}
-	cluster := cfg.Cluster
-	if cluster != nil {
-		if cluster.Control() != loop {
-			return nil, fmt.Errorf("rdcn: Cluster is set but loop is not Cluster.Control()")
-		}
-		if cluster.Racks() != cfg.Racks {
-			return nil, fmt.Errorf("rdcn: Cluster has %d rack lanes but Config.Racks is %d", cluster.Racks(), cfg.Racks)
-		}
-		// Conservative lookahead: no frame crosses racks in less than the
-		// fastest TDN's propagation delay, so windows of that span are safe.
-		if len(cfg.TDNs) > 0 {
-			la := cfg.TDNs[0].Delay
-			for _, p := range cfg.TDNs[1:] {
-				if p.Delay < la {
-					la = p.Delay
-				}
+	eng := sim.NewSharded(seed, cfg.Racks, workers)
+	// Conservative lookahead: no frame crosses racks in less than the
+	// fastest TDN's propagation delay, so windows of that span are safe.
+	if len(cfg.TDNs) > 0 {
+		la := cfg.TDNs[0].Delay
+		for _, p := range cfg.TDNs[1:] {
+			if p.Delay < la {
+				la = p.Delay
 			}
-			cluster.SetLookahead(la)
 		}
+		eng.SetLookahead(la)
 	}
-	n := &Network{Loop: loop, Cfg: cfg, baseVOQ: cfg.VOQCap}
+	n := &Network{Engine: eng, Loop: eng.Control(), Cfg: cfg, baseVOQ: cfg.VOQCap}
 	if cfg.PinnedVOQs && cfg.Classifier == nil {
 		ntdns := len(cfg.TDNs)
 		n.Cfg.Classifier = func(wire []byte) int { return PortClassifier(wire, ntdns) }
@@ -439,29 +403,11 @@ func New(loop *sim.Loop, cfg Config) (*Network, error) {
 		nvoq = len(cfg.TDNs)
 	}
 	n.Racks = make([]*Rack, cfg.Racks)
-	// Unsharded, every rack shares one pool (releases anywhere restock sends
-	// anywhere, so gets and puts balance by construction); under a Cluster
-	// each lane owns a pool and the barrier return path keeps them balanced.
-	var sharedPool *netem.BufPool
-	if !cfg.DisableFramePool && cluster == nil {
-		sharedPool = &netem.BufPool{}
-	}
 	for r := 0; r < cfg.Racks; r++ {
-		rloop := loop
-		if cluster != nil {
-			rloop = cluster.RackLoop(r)
-		}
-		rack := &Rack{net: n, ID: r, loop: rloop}
-		if !cfg.DisableFramePool {
-			rack.pool = sharedPool
-			if cluster != nil {
-				rack.pool = &netem.BufPool{}
-			}
-		}
-		if cluster != nil {
-			rack.retBufs = make([][][]byte, cfg.Racks)
-			rack.retFlushFn = rack.flushReturns
-		}
+		rloop := eng.RackLoop(r)
+		rack := &Rack{net: n, ID: r, loop: rloop, pool: &netem.BufPool{},
+			retBufs: make([][][]byte, cfg.Racks)}
+		rack.retFlushFn = rack.flushReturns
 		for k := 0; k < nvoq; k++ {
 			voq := netem.NewVOQ(rloop, cfg.VOQCap, cfg.MarkThresh)
 			voq.Label = fmt.Sprintf("r%dq%d", rack.ID, k)
@@ -476,45 +422,29 @@ func New(loop *sim.Loop, cfg Config) (*Network, error) {
 						return netem.Path{}, false
 					}
 					p := n.Cfg.TDNs[kk]
-					return netem.Path{Rate: p.Rate, Delay: p.Delay, TDN: kk}, true
+					return netem.Path{Rate: p.Rate, Delay: p.Delay}, true
 				}
 			} else {
 				pf = n.pathFunc(rloop, r, dst)
 			}
-			d := &netem.Drainer{
-				Loop: rloop,
-				Q:    voq,
-				Path: pf,
-				Out:  func(f netem.Frame) { n.deliver(dst, f) },
-			}
-			if !cfg.DisableBatchDelivery {
-				d.Coalesce = true
-				d.OutBatch = func(fs []netem.Frame, tdn int) { n.deliverBatch(dst, fs, tdn) }
-			}
-			if cluster != nil {
-				// Every drainer here crosses racks (qDst skips self), so its
-				// propagation stage becomes a dock: staged on this lane,
-				// flushed at barriers, delivered on the destination lane. The
-				// dock's sinks route through deliverFrom so the consumed
-				// buffers come home to this rack's pool.
-				src, ddst := r, dst
-				dk := netem.NewDock(src, ddst, rloop, cluster.RackLoop(ddst), cluster.Defer)
-				dk.Out = func(f netem.Frame) { n.deliverFrom(src, ddst, f) }
-				if !cfg.DisableBatchDelivery {
-					dk.OutBatch = func(fs []netem.Frame, tdn int) { n.deliverBatchFrom(src, ddst, fs, tdn) }
-				}
-				d.Dock = dk
-			}
+			// Every drainer crosses racks (qDst skips self), so its
+			// propagation stage is a dock: staged on this lane, flushed at
+			// barriers, delivered on the destination lane through
+			// deliverFrom so the consumed buffers come home to this rack's
+			// pool.
+			src := r
+			dk := netem.NewDock(src, dst, rloop, eng.RackLoop(dst), eng.Defer,
+				func(f netem.Frame) { n.deliverFrom(src, dst, f) })
+			d := &netem.Drainer{Loop: rloop, Q: voq, Path: pf, Dock: dk}
 			rack.voqs = append(rack.voqs, voq)
 			rack.drainers = append(rack.drainers, d)
 		}
 		rack.uplink = &netem.Pipe{
-			Loop:     rloop,
-			Rate:     cfg.HostRate,
-			Delay:    cfg.HostDelay,
-			Out:      func(f netem.Frame) { rack.ingress(f) },
-			Pool:     rack.pool,
-			Coalesce: !cfg.DisableBatchDelivery,
+			Loop:  rloop,
+			Rate:  cfg.HostRate,
+			Delay: cfg.HostDelay,
+			Out:   func(f netem.Frame) { rack.ingress(f) },
+			Pool:  rack.pool,
 		}
 		for h := 0; h < cfg.HostsPerRack; h++ {
 			rack.Hosts = append(rack.Hosts, &Host{Rack: rack, ID: h, Addr: HostAddr(r, h)})
@@ -542,8 +472,7 @@ func PortClassifier(wire []byte, ntdns int) int {
 // at its full rate (the paper's hybrid testbed). With more racks, TDN 0 is the
 // packet network fair-sharing the rack uplink across its Racks-1 VOQs, and an
 // optical TDN k serves only the rack pair of rotor matching k. The schedule
-// is evaluated on the owning rack's clock (identical to Network.Loop when
-// unsharded).
+// is evaluated on the owning rack's lane clock.
 func (n *Network) pathFunc(rloop *sim.Loop, rackID, dst int) netem.PathFunc {
 	return func() (netem.Path, bool) {
 		tdn, ok := n.dataPlaneTDN(rloop.Now())
@@ -553,13 +482,13 @@ func (n *Network) pathFunc(rloop *sim.Loop, rackID, dst int) netem.PathFunc {
 		p := n.Cfg.TDNs[tdn]
 		if n.Cfg.Racks > 2 {
 			if tdn == 0 {
-				return netem.Path{Rate: p.Rate / sim.Rate(n.Cfg.Racks-1), Delay: p.Delay, TDN: 0}, true
+				return netem.Path{Rate: p.Rate / sim.Rate(n.Cfg.Racks-1), Delay: p.Delay}, true
 			}
 			if RotorPeer(n.Cfg.Racks, tdn, rackID) != dst {
 				return netem.Path{}, false
 			}
 		}
-		return netem.Path{Rate: p.Rate, Delay: p.Delay, TDN: tdn}, true
+		return netem.Path{Rate: p.Rate, Delay: p.Delay}, true
 	}
 }
 
@@ -621,8 +550,8 @@ func (r *Rack) ingress(f netem.Frame) {
 	}
 }
 
-// deliver hands a frame that crossed the fabric to the destination host in
-// rack dst, identified by the IPv4 destination address.
+// deliver hands an intra-rack frame that hairpinned at the ToR to the
+// destination host in rack dst, identified by the IPv4 destination address.
 // Delivery is a frame's terminal point: once Recv returns the wire buffer
 // goes back to the pool, so Recv hooks must parse (Parse copies) rather than
 // retain the wire.
@@ -657,43 +586,8 @@ func (n *Network) hostIn(rack *Rack, f netem.Frame) *Host {
 	return rack.Hosts[id]
 }
 
-// deliverBatch is deliver for a whole same-TDN delivery batch: maximal runs
-// of consecutive frames addressed to the same host go to its RecvBatch hook
-// in one call (falling back to per-frame Recv), with per-frame order, ledger
-// accounting, and buffer reclamation identical to the unbatched path.
-//
-//lint:hotpath runs once per (host, TDN) delivery batch
-func (n *Network) deliverBatch(dst int, fs []netem.Frame, tdn int) {
-	rack := n.Racks[dst]
-	for i := 0; i < len(fs); {
-		h := n.hostIn(rack, fs[i])
-		if h == nil {
-			rack.misrouted++
-			fs[i].Release(rack.pool)
-			i++
-			continue
-		}
-		j := i + 1
-		for j < len(fs) && n.hostIn(rack, fs[j]) == h {
-			j++
-		}
-		rack.delivered += uint64(j - i)
-		if h.RecvBatch != nil {
-			h.RecvBatch(fs[i:j], tdn)
-		} else if h.Recv != nil {
-			for k := i; k < j; k++ {
-				h.Recv(fs[k])
-			}
-		}
-		for k := i; k < j; k++ {
-			fs[k].Release(rack.pool)
-		}
-		i = j
-	}
-}
-
-// deliverFrom is deliver for frames that crossed the fabric between lanes
-// (the dock sinks): identical delivery, but the consumed wire buffer is
+// deliverFrom is deliver for frames that crossed the fabric from rack src's
+// lane (the dock sinks): identical delivery, but the consumed wire buffer is
 // repatriated to rack src's pool at the next barrier instead of joining the
 // destination pool — under per-lane pools a one-way release would grow the
 // destination's free list and force the source to carve fresh blocks
@@ -705,62 +599,22 @@ func (n *Network) deliverFrom(src, dst int, f netem.Frame) {
 	h := n.hostIn(rack, f)
 	if h == nil {
 		rack.misrouted++
-		rack.returnWire(src, &f)
-		return
-	}
-	rack.delivered++
-	if h.Recv != nil {
-		h.Recv(f)
+	} else {
+		rack.delivered++
+		if h.Recv != nil {
+			h.Recv(f)
+		}
 	}
 	rack.returnWire(src, &f)
 }
 
-// deliverBatchFrom is deliverBatch with deliverFrom's buffer repatriation.
-//
-//lint:hotpath runs once per cross-lane (host, TDN) delivery batch
-func (n *Network) deliverBatchFrom(src, dst int, fs []netem.Frame, tdn int) {
-	rack := n.Racks[dst]
-	for i := 0; i < len(fs); {
-		h := n.hostIn(rack, fs[i])
-		if h == nil {
-			rack.misrouted++
-			rack.returnWire(src, &fs[i])
-			i++
-			continue
-		}
-		j := i + 1
-		for j < len(fs) && n.hostIn(rack, fs[j]) == h {
-			j++
-		}
-		rack.delivered += uint64(j - i)
-		if h.RecvBatch != nil {
-			h.RecvBatch(fs[i:j], tdn)
-		} else if h.Recv != nil {
-			for k := i; k < j; k++ {
-				h.Recv(fs[k])
-			}
-		}
-		for k := i; k < j; k++ {
-			rack.returnWire(src, &fs[k])
-		}
-		i = j
-	}
-}
-
 // returnWire stages a consumed frame's buffer for repatriation to rack src's
-// pool at the next barrier. Cluster wiring only (dock sinks); falls back to
-// a local release when pooling is off or the buffer is already home. Runs on
-// this rack's lane.
+// pool at the next barrier. Runs on this rack's lane.
 //
 //lint:hotpath runs once per cross-lane consumed frame
 func (r *Rack) returnWire(src int, f *netem.Frame) {
-	home := r.net.Racks[src].pool
-	if home == nil || src == r.ID || cap(f.Wire) == 0 {
-		f.Release(r.pool)
-		return
-	}
 	if !r.retDirty {
-		r.net.Cfg.Cluster.DeferLane(r.ID, r.retFlushFn)
+		r.net.Engine.DeferLane(r.ID, r.retFlushFn)
 		r.retDirty = true
 	}
 	r.retBufs[src] = append(r.retBufs[src], f.Wire)
@@ -929,15 +783,13 @@ func (n *Network) KickAll() {
 // Epoch reports the control plane's current schedule-transition counter.
 func (n *Network) Epoch() uint32 { return n.epoch }
 
-// CheckInvariants validates the accounting of every rack VOQ. The runtime
-// invariant checker (internal/invariant) calls it after every simulation
-// event during faulted runs.
-func (n *Network) CheckInvariants() error {
-	for _, rack := range n.Racks {
-		for _, v := range rack.voqs {
-			if err := v.CheckInvariants(); err != nil {
-				return fmt.Errorf("rack %d: %w", rack.ID, err)
-			}
+// CheckInvariants validates the accounting of this rack's VOQs. It touches
+// only state the rack's lane owns, so the runtime invariant checker
+// (internal/invariant) calls it after every event on that lane.
+func (r *Rack) CheckInvariants() error {
+	for _, v := range r.voqs {
+		if err := v.CheckInvariants(); err != nil {
+			return fmt.Errorf("rack %d: %w", r.ID, err)
 		}
 	}
 	return nil
@@ -1126,8 +978,7 @@ func (n *Network) CheckConservation() error {
 
 // FrameLedger reports the cumulative conservation counters: frames sent by
 // hosts, delivered to a Recv hook, and dropped as misrouted — summed over
-// the per-rack ledgers (see Rack.FrameLedger). Barrier-only under a
-// Cluster.
+// the per-rack ledgers (see Rack.FrameLedger). Barrier-only.
 func (n *Network) FrameLedger() (sent, delivered, misrouted uint64) {
 	for _, rack := range n.Racks {
 		sent += rack.framesIn

@@ -29,7 +29,6 @@ func TestPortClassifier(t *testing.T) {
 }
 
 func TestPinnedVOQsHoldUntilTheirTDN(t *testing.T) {
-	loop := sim.NewLoop(1)
 	cfg := DefaultConfig()
 	cfg.HostsPerRack = 1
 	cfg.HostDelay = 0
@@ -39,7 +38,7 @@ func TestPinnedVOQsHoldUntilTheirTDN(t *testing.T) {
 		{TDN: 0, Dur: us(100)}, {TDN: NightTDN, Dur: us(10)},
 		{TDN: 1, Dur: us(100)}, {TDN: NightTDN, Dur: us(10)},
 	})
-	n, err := New(loop, cfg)
+	n, err := New(cfg, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +56,11 @@ func TestPinnedVOQsHoldUntilTheirTDN(t *testing.T) {
 		if err := packet.Parse(f.Wire, &s); err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, arrival{s.TCP.DstPort, loop.Now()})
+		got = append(got, arrival{s.TCP.DstPort, dst.Rack.Loop().Now()})
 	}
 	n.Start(sim.Time(us(500)))
 	// During TDN0, send one frame per pinned class.
-	loop.At(sim.Time(us(10)), func() {
+	n.Loop.At(sim.Time(us(10)), func() {
 		for _, port := range []uint16{5000, 5001} {
 			n.Racks[0].Hosts[0].Send(&packet.Segment{
 				Dst: dst.Addr, TTL: 64, Proto: packet.ProtoTCP,
@@ -69,7 +68,7 @@ func TestPinnedVOQsHoldUntilTheirTDN(t *testing.T) {
 			})
 		}
 	})
-	loop.RunUntil(sim.Time(us(400)))
+	n.Engine.RunUntil(sim.Time(us(400)))
 	if len(got) != 2 {
 		t.Fatalf("arrivals = %d", len(got))
 	}
@@ -91,17 +90,16 @@ func TestPinnedVOQsHoldUntilTheirTDN(t *testing.T) {
 
 func TestNotifyJitterDeterministic(t *testing.T) {
 	run := func() []float64 {
-		loop := sim.NewLoop(99)
 		cfg := DefaultConfig()
 		cfg.HostsPerRack = 4
 		cfg.Notify = NotifyProfile{Gen: us(1), Net: us(1), Jitter: us(5)}
-		n, _ := New(loop, cfg)
+		n, _ := New(cfg, 99, 1)
 		var times []float64
 		for _, h := range n.Racks[0].Hosts {
-			h.NotifyTDN = func(int, uint32) { times = append(times, loop.Now().Microseconds()) }
+			h.NotifyTDN = func(int, uint32) { times = append(times, h.Rack.Loop().Now().Microseconds()) }
 		}
 		n.Start(sim.Time(us(300)))
-		loop.RunUntil(sim.Time(us(300)))
+		n.Engine.RunUntil(sim.Time(us(300)))
 		return times
 	}
 	a, b := run(), run()

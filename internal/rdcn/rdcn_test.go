@@ -112,31 +112,29 @@ func TestHostAddr(t *testing.T) {
 	}
 }
 
-func buildNet(t *testing.T, cfg Config) (*sim.Loop, *Network) {
+func buildNet(t *testing.T, cfg Config) (*sim.ShardedLoop, *Network) {
 	t.Helper()
-	loop := sim.NewLoop(1)
-	n, err := New(loop, cfg)
+	n, err := New(cfg, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return loop, n
+	return n.Engine, n
 }
 
 func TestNewValidation(t *testing.T) {
-	loop := sim.NewLoop(1)
 	cfg := DefaultConfig()
 	cfg.HostsPerRack = 0
-	if _, err := New(loop, cfg); err == nil {
+	if _, err := New(cfg, 1, 1); err == nil {
 		t.Fatal("zero hosts accepted")
 	}
 	cfg = DefaultConfig()
 	cfg.Schedule = nil
-	if _, err := New(loop, cfg); err == nil {
+	if _, err := New(cfg, 1, 1); err == nil {
 		t.Fatal("nil schedule accepted")
 	}
 	cfg = DefaultConfig()
 	cfg.TDNs = cfg.TDNs[:1]
-	if _, err := New(loop, cfg); err == nil {
+	if _, err := New(cfg, 1, 1); err == nil {
 		t.Fatal("schedule with more TDNs than configured accepted")
 	}
 }
@@ -160,7 +158,7 @@ func TestEndToEndDelivery(t *testing.T) {
 		Dst: dst.Addr, TTL: 64, Proto: packet.ProtoTCP,
 		TCP: packet.TCPHeader{Seq: 7, Flags: packet.FlagACK, PayloadLen: 1000},
 	}
-	loop.After(0, func() { src.Send(seg) })
+	n.Loop.After(0, func() { src.Send(seg) })
 	loop.RunUntil(sim.Time(us(1000)))
 	if len(got) != 1 {
 		t.Fatalf("delivered %d segments", len(got))
@@ -181,10 +179,10 @@ func TestDeliveryPausedDuringNight(t *testing.T) {
 	loop, n := buildNet(t, cfg)
 	dst := n.Racks[1].Hosts[0]
 	var arrivals []sim.Time
-	dst.Recv = func(netem.Frame) { arrivals = append(arrivals, loop.Now()) }
+	dst.Recv = func(netem.Frame) { arrivals = append(arrivals, dst.Rack.Loop().Now()) }
 	n.Start(sim.Time(us(400)))
 	// Send one packet during the first night: it must wait for the next day.
-	loop.At(sim.Time(us(60)), func() {
+	n.Loop.At(sim.Time(us(60)), func() {
 		n.Racks[0].Hosts[0].Send(&packet.Segment{
 			Dst: dst.Addr, TTL: 64, Proto: packet.ProtoTCP,
 			TCP: packet.TCPHeader{Flags: packet.FlagACK, PayloadLen: 1000},
@@ -217,7 +215,7 @@ func TestNotifications(t *testing.T) {
 	for i, h := range n.Racks[0].Hosts {
 		i, h := i, h
 		h.NotifyTDN = func(tdn int, epoch uint32) {
-			perHost[i] = append(perHost[i], notif{loop.Now(), tdn, epoch})
+			perHost[i] = append(perHost[i], notif{h.Rack.Loop().Now(), tdn, epoch})
 		}
 	}
 	n.Start(sim.Time(us(1400))) // one full week
@@ -258,7 +256,7 @@ func TestPreChangeResizesVOQ(t *testing.T) {
 		if tdn != 1 {
 			t.Fatalf("pre-change tdn = %d", tdn)
 		}
-		preNotifies = append(preNotifies, loop.Now())
+		preNotifies = append(preNotifies, n.Loop.Now())
 	}
 	n.Start(sim.Time(us(1400)))
 	// Optical day of week 1 runs [1200,1380); resize is due at 1050.

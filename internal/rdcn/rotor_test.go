@@ -139,21 +139,20 @@ func TestValidateRotor(t *testing.T) {
 
 // TestNewRejectsBadMultiRack covers the multi-rack constructor guards.
 func TestNewRejectsBadMultiRack(t *testing.T) {
-	loop := sim.NewLoop(1)
 	cfg := DefaultConfig()
 	cfg.Racks = 4
 	cfg.TDNs = RotorTDNs(4, cfg.TDNs[0], cfg.TDNs[1])
 	cfg.Schedule = RotorWeek(6, 2, 180*sim.Microsecond, 20*sim.Microsecond)
-	if _, err := New(loop, cfg); err == nil {
+	if _, err := New(cfg, 1, 1); err == nil {
 		t.Fatal("New accepted a 6-rack schedule on a 4-rack fabric")
 	}
 	cfg.Schedule = RotorWeek(4, 2, 180*sim.Microsecond, 20*sim.Microsecond)
 	cfg.PinnedVOQs = true
-	if _, err := New(loop, cfg); err == nil {
+	if _, err := New(cfg, 1, 1); err == nil {
 		t.Fatal("New accepted PinnedVOQs on a 4-rack fabric")
 	}
 	cfg.PinnedVOQs = false
-	if _, err := New(loop, cfg); err != nil {
+	if _, err := New(cfg, 1, 1); err != nil {
 		t.Fatalf("valid 4-rack config rejected: %v", err)
 	}
 }
@@ -162,13 +161,12 @@ func TestNewRejectsBadMultiRack(t *testing.T) {
 // checks routing (every frame reaches the addressed host, including the
 // intra-rack hairpin) plus the conservation ledger.
 func TestMultiRackDelivery(t *testing.T) {
-	loop := sim.NewLoop(7)
 	cfg := DefaultConfig()
 	cfg.Racks = 4
 	cfg.HostsPerRack = 2
 	cfg.TDNs = RotorTDNs(4, cfg.TDNs[0], cfg.TDNs[1])
 	cfg.Schedule = RotorWeek(4, 2, 180*sim.Microsecond, 20*sim.Microsecond)
-	n, err := New(loop, cfg)
+	n, err := New(cfg, 7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +194,7 @@ func TestMultiRackDelivery(t *testing.T) {
 			}
 		}
 	}
-	loop.RunUntil(sim.Time(10 * sim.Millisecond))
+	n.Engine.RunUntil(sim.Time(10 * sim.Millisecond))
 	total := 0
 	for addr, c := range got {
 		if c != cfg.Racks*cfg.HostsPerRack-1 {
@@ -218,19 +216,18 @@ func TestMultiRackDelivery(t *testing.T) {
 // TestMultiRackMisroute checks that a frame addressed outside the fabric is
 // dropped and accounted as misrouted, not lost from the ledger.
 func TestMultiRackMisroute(t *testing.T) {
-	loop := sim.NewLoop(7)
 	cfg := DefaultConfig()
 	cfg.Racks = 4
 	cfg.HostsPerRack = 2
 	cfg.TDNs = RotorTDNs(4, cfg.TDNs[0], cfg.TDNs[1])
 	cfg.Schedule = RotorWeek(4, 2, 180*sim.Microsecond, 20*sim.Microsecond)
-	n, err := New(loop, cfg)
+	n, err := New(cfg, 7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n.Start(sim.Time(1 * sim.Millisecond))
 	n.Racks[0].Hosts[0].Send(&packet.Segment{Dst: HostAddr(9, 0), TTL: 64, Proto: packet.ProtoTCP})
-	loop.RunUntil(sim.Time(1 * sim.Millisecond))
+	n.Engine.RunUntil(sim.Time(1 * sim.Millisecond))
 	if err := n.CheckConservation(); err != nil {
 		t.Fatal(err)
 	}

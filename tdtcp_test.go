@@ -6,19 +6,18 @@ import (
 )
 
 func TestQuickstartFacade(t *testing.T) {
-	loop := NewLoop(1)
-	net, err := NewNetwork(loop, DefaultNetworkConfig())
+	net, err := NewNetwork(1, DefaultNetworkConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	flow, err := BuildFlow(loop, net, 0, TDTCP, FlowOptions{})
+	flow, err := BuildFlow(net, 0, TDTCP, FlowOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	end := Time(4 * Millisecond)
 	net.Start(end)
 	flow.Start(-1)
-	loop.RunUntil(end)
+	net.Engine.RunUntil(end)
 	if flow.Delivered() == 0 {
 		t.Fatal("no bytes delivered")
 	}
