@@ -207,6 +207,12 @@ const (
 	// with headroom for schedule-config drift, far below the ~2.4k it was
 	// before the SoA slab landed.
 	maxWeekAllocs = 1500
+	// maxFlightAllocDelta bounds SimulatedWeekFlight's allocs/op above
+	// SimulatedWeek's. Flight-ring writes must not allocate; the delta is
+	// the per-network construction of each rack lane's tracer fork, its
+	// flight recorder and ring, span-id source and spool mark — 5 per lane,
+	// 10 on the 2-rack hybrid — plus 2 for runtime-internal rounding.
+	maxFlightAllocDelta = 12
 	// maxEvRegressPct fails the gate when the recorded SimulatedWeek
 	// events/sec dropped more than this vs the file's "previous" entry.
 	maxEvRegressPct = 20.0
@@ -220,8 +226,9 @@ const (
 )
 
 // checkGate applies the committed-file regression thresholds: SimulatedWeek
-// allocation ceiling, SimulatedWeek events/sec vs the previous record, the
-// SimulatedWeekSteady zero-allocation claim (the hot path's contract), and —
+// allocation ceiling, the SimulatedWeekFlight allocation delta over it,
+// SimulatedWeek events/sec vs the previous record, the SimulatedWeekSteady
+// zero-allocation claim (the hot path's contract), and —
 // when the recording machine had enough cores to mean anything — the
 // sharded-engine speedup floor over the sequential twin.
 func checkGate(path string) error {
@@ -240,6 +247,10 @@ func checkGate(path string) error {
 	if week.AllocsPerOp > maxWeekAllocs {
 		return fmt.Errorf("SimulatedWeek allocs/op %d exceeds the committed ceiling %d",
 			week.AllocsPerOp, maxWeekAllocs)
+	}
+	if fl, ok := f.Benchmarks["SimulatedWeekFlight"]; ok && fl.AllocsPerOp-week.AllocsPerOp > maxFlightAllocDelta {
+		return fmt.Errorf("SimulatedWeekFlight allocs/op %d is %d above SimulatedWeek's %d; the budget is %d",
+			fl.AllocsPerOp, fl.AllocsPerOp-week.AllocsPerOp, week.AllocsPerOp, maxFlightAllocDelta)
 	}
 	if steady, ok := f.Benchmarks["SimulatedWeekSteady"]; ok && steady.AllocsPerOp != 0 {
 		return fmt.Errorf("SimulatedWeekSteady allocs/op %d; the steady state must not allocate",

@@ -80,6 +80,12 @@ func run() int {
 	})
 	hs := &http.Server{Handler: serve.Handler(s)}
 
+	// Catch signals before the startup handshake: a client that has seen
+	// the address line may signal at once, and must get a drain, not the
+	// default kill.
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, syscall.SIGTERM, syscall.SIGINT)
+
 	// The address line is the startup handshake: tests (and scripts) listen
 	// on :0 and parse the actual port from here.
 	fmt.Printf("tdserve listening on %s\n", ln.Addr())
@@ -87,8 +93,6 @@ func run() int {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, syscall.SIGTERM, syscall.SIGINT)
 	select {
 	case sig := <-sigs:
 		fmt.Fprintf(os.Stderr, "tdserve: %v: draining (budget %v)\n", sig, *drain)
